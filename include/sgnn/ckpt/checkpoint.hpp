@@ -144,17 +144,15 @@ class SnapshotView {
   std::map<std::string, std::string> sections_;
 };
 
-/// Writes `payload` to `path` crash-safely: the container goes to a
-/// temporary sibling first, is fsync'd, and only then renamed over `path`
-/// (the directory entry is fsync'd too). A crash at any point leaves either
-/// the previous file or the complete new one — never a torn write under the
-/// final name.
+/// Writes `payload` to `path` as an SGCK container, crash-safely (tmp
+/// sibling + fsync + rename; see write_framed_file in
+/// sgnn/store/serialize.hpp): a crash at any point leaves either the
+/// previous file or the complete new one, never a torn write.
 void write_snapshot_file(const std::string& path, const std::string& payload);
 
-/// Reads and verifies a snapshot container; throws Error on missing file,
-/// bad magic/version, truncation, or CRC mismatch. The payload allocation
-/// is bounded by the actual file size, so a corrupt header cannot trigger
-/// a multi-gigabyte allocation.
+/// Reads and verifies an SGCK container; throws Error on missing file,
+/// bad magic/version, truncation, or CRC mismatch, with the payload
+/// allocation bounded by the file size.
 std::string read_snapshot_file(const std::string& path);
 
 /// Owns a checkpoint directory: writes step-stamped snapshots atomically,

@@ -14,9 +14,13 @@ namespace sgnn {
 /// this payload as their "model" section) so a saved model can be shipped
 /// for inference without its Adam moments.
 ///
-/// File layout:
-///   "SGMD" | u32 version | config fields | u64 param_count |
-///   per parameter: u64 rank, i64 dims..., f64 data... | u32 crc | "SGMD"
+/// File layout (the CRC framing shared with SGCK snapshots, see
+/// write_framed_file in sgnn/store/serialize.hpp):
+///   "SGMD" | u32 version | u64 payload_size | payload | u32 crc | "SGMD"
+/// payload: config fields | u64 param_count |
+///   per parameter: u64 rank, i64 dims..., f64 data...
+/// The write is atomic (tmp sibling + fsync + rename): a crash mid-save
+/// leaves the previous file, never a torn one, under `path`.
 void save_model(const EGNNModel& model, const std::string& path);
 
 /// Reconstructs the model (config + weights). Throws Error on a missing,

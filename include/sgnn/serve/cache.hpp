@@ -43,6 +43,8 @@ CanonicalKey canonicalize(const AtomicStructure& structure);
 /// Cached model output for one canonical structure. Forces are stored in
 /// canonical atom order (see CanonicalKey::perm).
 struct CachedResult {
+  /// Server weights version the entry was computed under.
+  std::uint64_t weights_version = 0;
   double energy = 0.0;
   bool has_forces = false;
   std::vector<Vec3> forces;  ///< canonical order; empty when !has_forces
@@ -61,9 +63,11 @@ class StructureCache {
   explicit StructureCache(std::size_t capacity);
 
   /// Returns true and fills `out` on a hit. A hit requires equal canonical
-  /// bytes AND, when `need_forces`, a resident entry that has forces —
-  /// an energy-only entry cannot satisfy a force request.
-  bool lookup(const CanonicalKey& key, bool need_forces, CachedResult& out);
+  /// bytes, an entry computed under `weights_version` (an entry from before
+  /// a weight swap is stale), AND, when `need_forces`, a resident entry
+  /// that has forces — an energy-only entry cannot satisfy a force request.
+  bool lookup(const CanonicalKey& key, bool need_forces,
+              std::uint64_t weights_version, CachedResult& out);
 
   /// Inserts (or replaces) the entry for `key`, evicting the least
   /// recently used entry when over capacity.

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <optional>
 #include <unordered_map>
 #include <vector>
@@ -118,6 +119,13 @@ class GradBucketer {
   /// prices. Clears the recorded events.
   std::vector<InterconnectModel::OverlapEvent> take_events();
 
+  /// Test hook, invoked as a drain starts: after every bucket is posted and
+  /// before any is waited — the window the crash-during-overlap checkpoint
+  /// test injects a SimulatedCrash into.
+  void set_pre_drain_hook(std::function<void()> hook) {
+    pre_drain_hook_ = std::move(hook);
+  }
+
  private:
   struct BucketState;
 
@@ -156,6 +164,7 @@ class GradBucketer {
   /// Staging is real allocated workspace; account it like the sequential
   /// optimizers' flat buffers do.
   std::optional<ScopedBytes> staging_bytes_;
+  std::function<void()> pre_drain_hook_;
 };
 
 }  // namespace sgnn

@@ -85,8 +85,6 @@ class Trainer {
   /// Assembles the full training-state snapshot payload (model, Adam
   /// moments + timestep + LR, loader position, step/epoch counters).
   std::string build_snapshot(const DataLoader& loader);
-  /// Writes a snapshot when the every_steps cadence is due.
-  void maybe_checkpoint(const DataLoader& loader);
   /// Restores from options.checkpoint.resume_from when set; returns true
   /// when a snapshot was applied (the mid-epoch loader state included).
   bool try_resume(DataLoader& loader);

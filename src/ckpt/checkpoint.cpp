@@ -2,14 +2,8 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <sstream>
-
-#if defined(__unix__) || defined(__APPLE__)
-#include <fcntl.h>
-#include <unistd.h>
-#define SGNN_CKPT_HAS_FSYNC 1
-#endif
+#include <string_view>
 
 #include "sgnn/obs/metrics.hpp"
 #include "sgnn/store/serialize.hpp"
@@ -20,33 +14,12 @@ namespace sgnn::ckpt {
 
 namespace {
 
-constexpr char kMagic[4] = {'S', 'G', 'C', 'K'};
+constexpr std::string_view kMagic = "SGCK";
 constexpr std::uint32_t kVersion = 1;
-// Header: magic + u32 version + u64 payload_size. Trailer: u32 crc + magic.
-constexpr std::uint64_t kHeaderBytes = 4 + 4 + 8;
-constexpr std::uint64_t kTrailerBytes = 4 + 4;
+constexpr char kWhat[] = "snapshot";
 
 constexpr char kFilePrefix[] = "ckpt-";
 constexpr char kFileSuffix[] = ".sgck";
-
-template <typename T>
-void write_raw(std::ostream& out, const T& value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  char bytes[sizeof(T)];
-  std::memcpy(bytes, &value, sizeof(T));
-  out.write(bytes, sizeof(T));
-}
-
-template <typename T>
-T read_raw(std::istream& in) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  char bytes[sizeof(T)];
-  in.read(bytes, sizeof(T));
-  SGNN_CHECK(in.good(), "truncated snapshot");
-  T value;
-  std::memcpy(&value, bytes, sizeof(T));
-  return value;
-}
 
 /// Step-stamped, lexicographically sortable file name.
 std::string snapshot_file_name(std::uint64_t step) {
@@ -90,21 +63,6 @@ std::vector<std::pair<std::uint64_t, std::filesystem::path>> list_snapshots(
   }
   std::sort(found.begin(), found.end());
   return found;
-}
-
-/// Flushes file (or directory) contents to stable storage where the
-/// platform supports it; the write path remains correct without it, just
-/// not power-failure-proof.
-void fsync_path(const std::string& path) {
-#ifdef SGNN_CKPT_HAS_FSYNC
-  const int fd = ::open(path.c_str(), O_RDONLY);
-  if (fd >= 0) {
-    ::fsync(fd);
-    ::close(fd);
-  }
-#else
-  (void)path;
-#endif
 }
 
 }  // namespace
@@ -239,63 +197,11 @@ std::vector<std::uint64_t> SnapshotView::u64s(const std::string& name) const {
 // -- container file IO ------------------------------------------------------
 
 void write_snapshot_file(const std::string& path, const std::string& payload) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    SGNN_CHECK(out.is_open(), "cannot open '" << tmp << "' for writing");
-    out.write(kMagic, 4);
-    write_raw(out, kVersion);
-    write_raw(out, static_cast<std::uint64_t>(payload.size()));
-    out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-    write_raw(out, crc32(payload.data(), payload.size()));
-    out.write(kMagic, 4);
-    out.flush();
-    SGNN_CHECK(out.good(), "write failure while saving snapshot '" << tmp
-                                                                   << "'");
-  }
-  // Data must be durable BEFORE the rename publishes the file: rename is
-  // atomic on POSIX, so after it the name always refers to complete bytes.
-  fsync_path(tmp);
-  std::error_code ec;
-  std::filesystem::rename(tmp, path, ec);
-  SGNN_CHECK(!ec, "cannot publish snapshot '" << path << "': " << ec.message());
-  const auto parent = std::filesystem::path(path).parent_path();
-  if (!parent.empty()) fsync_path(parent.string());
+  write_framed_file(path, kMagic, kVersion, payload, kWhat);
 }
 
 std::string read_snapshot_file(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  SGNN_CHECK(in.is_open(), "cannot open snapshot '" << path << "'");
-  in.seekg(0, std::ios::end);
-  const auto file_size = static_cast<std::uint64_t>(in.tellg());
-  in.seekg(0, std::ios::beg);
-  SGNN_CHECK(file_size >= kHeaderBytes + kTrailerBytes,
-             "'" << path << "' too small to be a snapshot");
-  char magic[4];
-  in.read(magic, 4);
-  SGNN_CHECK(in.good() && std::equal(magic, magic + 4, kMagic),
-             "'" << path << "' is not a snapshot file");
-  const auto version = read_raw<std::uint32_t>(in);
-  SGNN_CHECK(version == kVersion,
-             "'" << path << "' has unsupported snapshot version " << version);
-  const auto payload_size = read_raw<std::uint64_t>(in);
-  // Bound the allocation by what the file can actually hold — a flipped
-  // header byte must produce a clean Error, not a huge allocation.
-  SGNN_CHECK(payload_size <= file_size - kHeaderBytes - kTrailerBytes,
-             "'" << path << "' declares " << payload_size
-                 << " payload bytes but holds only "
-                 << file_size - kHeaderBytes - kTrailerBytes);
-  std::string payload(payload_size, '\0');
-  in.read(payload.data(), static_cast<std::streamsize>(payload_size));
-  SGNN_CHECK(in.good(), "'" << path << "' truncated payload");
-  const auto stored_crc = read_raw<std::uint32_t>(in);
-  char tail[4];
-  in.read(tail, 4);
-  SGNN_CHECK(in.good() && std::equal(tail, tail + 4, kMagic),
-             "'" << path << "' missing trailer");
-  SGNN_CHECK(crc32(payload.data(), payload.size()) == stored_crc,
-             "'" << path << "' CRC mismatch (corrupt snapshot)");
-  return payload;
+  return read_framed_file(path, kMagic, kVersion, kWhat);
 }
 
 // -- CheckpointManager ------------------------------------------------------
@@ -327,8 +233,7 @@ std::string CheckpointManager::save(std::uint64_t step,
     }
   }
 
-  const std::uint64_t file_bytes =
-      kHeaderBytes + payload.size() + kTrailerBytes;
+  const std::uint64_t file_bytes = payload.size() + kFramedFileOverhead;
   obs::MetricsRegistry& registry = obs::MetricsRegistry::instance();
   registry.counter("ckpt.writes").add(1);
   registry.counter("ckpt.bytes").add(static_cast<std::int64_t>(file_bytes));

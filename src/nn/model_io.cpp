@@ -1,9 +1,8 @@
 #include "sgnn/nn/model_io.hpp"
 
 #include <cstring>
-#include <fstream>
 #include <sstream>
-#include <type_traits>
+#include <string_view>
 #include <vector>
 
 #include "sgnn/store/serialize.hpp"
@@ -13,30 +12,10 @@ namespace sgnn {
 
 namespace {
 
-constexpr char kMagic[4] = {'S', 'G', 'M', 'D'};
+constexpr std::string_view kMagic = "SGMD";
 constexpr std::uint32_t kVersion = 3;
-
-// memcpy through a char buffer instead of reinterpret_cast on &value: the
-// byte layout (and thus the on-disk format) is identical, but no pointer of
-// the wrong type is ever formed.
-template <typename T>
-void write_raw(std::ostream& out, const T& value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  char bytes[sizeof(T)];
-  std::memcpy(bytes, &value, sizeof(T));
-  out.write(bytes, sizeof(T));
-}
-
-template <typename T>
-T read_raw(std::istream& in) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  char bytes[sizeof(T)];
-  in.read(bytes, sizeof(T));
-  SGNN_CHECK(in.good(), "truncated model file");
-  T value;
-  std::memcpy(&value, bytes, sizeof(T));
-  return value;
-}
+constexpr char kWhat[] = "model file";
+constexpr char kTruncated[] = "truncated model file";
 
 void write_config(std::ostream& out, const ModelConfig& config) {
   write_raw(out, config.hidden_dim);
@@ -54,21 +33,21 @@ void write_config(std::ostream& out, const ModelConfig& config) {
 
 ModelConfig read_config(std::istream& in) {
   ModelConfig config;
-  config.hidden_dim = read_raw<std::int64_t>(in);
-  config.num_layers = read_raw<std::int64_t>(in);
-  config.num_species = read_raw<std::int64_t>(in);
-  config.num_rbf = read_raw<std::int64_t>(in);
-  config.cutoff = read_raw<double>(in);
-  config.residual = read_raw<std::uint8_t>(in) != 0;
-  config.coord_scale = read_raw<double>(in);
-  const auto kernel = read_raw<std::int32_t>(in);
+  config.hidden_dim = read_raw<std::int64_t>(in, kTruncated);
+  config.num_layers = read_raw<std::int64_t>(in, kTruncated);
+  config.num_species = read_raw<std::int64_t>(in, kTruncated);
+  config.num_rbf = read_raw<std::int64_t>(in, kTruncated);
+  config.cutoff = read_raw<double>(in, kTruncated);
+  config.residual = read_raw<std::uint8_t>(in, kTruncated) != 0;
+  config.coord_scale = read_raw<double>(in, kTruncated);
+  const auto kernel = read_raw<std::int32_t>(in, kTruncated);
   SGNN_CHECK(kernel >= 0 && kernel <= 2, "invalid kernel in model file");
   config.kernel = static_cast<MessagePassingKernel>(kernel);
-  const auto head = read_raw<std::int32_t>(in);
+  const auto head = read_raw<std::int32_t>(in, kTruncated);
   SGNN_CHECK(head >= 0 && head <= 1, "invalid force head in model file");
   config.force_head = static_cast<ForceHead>(head);
-  config.predict_dipole = read_raw<std::uint8_t>(in) != 0;
-  config.seed = read_raw<std::uint64_t>(in);
+  config.predict_dipole = read_raw<std::uint8_t>(in, kTruncated) != 0;
+  config.seed = read_raw<std::uint64_t>(in, kTruncated);
   SGNN_CHECK(config.hidden_dim > 0 && config.num_layers > 0 &&
                  config.num_species > 0 && config.num_rbf > 0,
              "model file carries an invalid config");
@@ -100,7 +79,7 @@ std::string serialize_payload(const EGNNModel& model) {
 
 void restore_parameters(std::istream& in, EGNNModel& model) {
   auto params = model.parameters();
-  const auto count = read_raw<std::uint64_t>(in);
+  const auto count = read_raw<std::uint64_t>(in, kTruncated);
   SGNN_CHECK(count == params.size(),
              "model file has " << count << " parameter tensors, model needs "
                                << params.size());
@@ -111,10 +90,10 @@ void restore_parameters(std::istream& in, EGNNModel& model) {
   std::vector<std::vector<real>> staged;
   staged.reserve(params.size());
   for (const auto& p : params) {
-    const auto rank = read_raw<std::uint64_t>(in);
+    const auto rank = read_raw<std::uint64_t>(in, kTruncated);
     SGNN_CHECK(rank == p.rank(), "parameter rank mismatch");
     for (std::size_t axis = 0; axis < rank; ++axis) {
-      const auto dim = read_raw<std::int64_t>(in);
+      const auto dim = read_raw<std::int64_t>(in, kTruncated);
       SGNN_CHECK(dim == p.dim(axis), "parameter shape mismatch on axis "
                                          << axis << ": file has " << dim
                                          << ", model has " << p.dim(axis));
@@ -133,63 +112,14 @@ void restore_parameters(std::istream& in, EGNNModel& model) {
   }
 }
 
-// Header: magic + u32 version + u64 payload_size. Trailer: u32 crc + magic.
-constexpr std::uint64_t kHeaderBytes = 4 + 4 + 8;
-constexpr std::uint64_t kTrailerBytes = 4 + 4;
-
-std::string read_verified_payload(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  SGNN_CHECK(in.is_open(), "cannot open model file '" << path << "'");
-  in.seekg(0, std::ios::end);
-  const auto file_size = static_cast<std::uint64_t>(in.tellg());
-  in.seekg(0, std::ios::beg);
-  SGNN_CHECK(file_size >= kHeaderBytes + kTrailerBytes,
-             "'" << path << "' too small to be a model file");
-  char magic[4];
-  in.read(magic, 4);
-  SGNN_CHECK(in.good() && std::equal(magic, magic + 4, kMagic),
-             "'" << path << "' is not a model file");
-  const auto version = read_raw<std::uint32_t>(in);
-  SGNN_CHECK(version == kVersion, "'" << path
-                                      << "' has unsupported model version "
-                                      << version);
-  const auto payload_size = read_raw<std::uint64_t>(in);
-  // Bound the allocation by what the file can actually hold: a flipped byte
-  // in the size field must yield a clean Error, not a multi-GB allocation.
-  SGNN_CHECK(payload_size <= file_size - kHeaderBytes - kTrailerBytes,
-             "'" << path << "' declares " << payload_size
-                 << " payload bytes but holds only "
-                 << file_size - kHeaderBytes - kTrailerBytes);
-  std::string payload(payload_size, '\0');
-  in.read(payload.data(), static_cast<std::streamsize>(payload_size));
-  SGNN_CHECK(in.good(), "'" << path << "' truncated payload");
-  const auto stored_crc = read_raw<std::uint32_t>(in);
-  char tail[4];
-  in.read(tail, 4);
-  SGNN_CHECK(in.good() && std::equal(tail, tail + 4, kMagic),
-             "'" << path << "' missing trailer");
-  SGNN_CHECK(crc32(payload.data(), payload.size()) == stored_crc,
-             "'" << path << "' CRC mismatch (corrupt model file)");
-  return payload;
-}
-
 }  // namespace
 
 void save_model(const EGNNModel& model, const std::string& path) {
-  const std::string payload = serialize_payload(model);
-  std::ofstream out(path, std::ios::binary);
-  SGNN_CHECK(out.is_open(), "cannot open '" << path << "' for writing");
-  out.write(kMagic, 4);
-  write_raw(out, kVersion);
-  write_raw(out, static_cast<std::uint64_t>(payload.size()));
-  out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  write_raw(out, crc32(payload.data(), payload.size()));
-  out.write(kMagic, 4);
-  SGNN_CHECK(out.good(), "write failure while saving model");
+  write_framed_file(path, kMagic, kVersion, serialize_payload(model), kWhat);
 }
 
 std::unique_ptr<EGNNModel> load_model(const std::string& path) {
-  const std::string payload = read_verified_payload(path);
+  const std::string payload = read_framed_file(path, kMagic, kVersion, kWhat);
   std::istringstream in(payload);
   const ModelConfig config = read_config(in);
   auto model = std::make_unique<EGNNModel>(config);
@@ -198,7 +128,7 @@ std::unique_ptr<EGNNModel> load_model(const std::string& path) {
 }
 
 void load_parameters_into(EGNNModel& model, const std::string& path) {
-  load_model_payload(model, read_verified_payload(path));
+  load_model_payload(model, read_framed_file(path, kMagic, kVersion, kWhat));
 }
 
 std::string model_payload_bytes(const EGNNModel& model) {
@@ -220,7 +150,7 @@ void load_model_payload(EGNNModel& model, const std::string& payload) {
 }
 
 ModelConfig peek_model_config(const std::string& path) {
-  const std::string payload = read_verified_payload(path);
+  const std::string payload = read_framed_file(path, kMagic, kVersion, kWhat);
   std::istringstream in(payload);
   return read_config(in);
 }

@@ -1,8 +1,6 @@
 #include "sgnn/store/bp_file.hpp"
 
-#include <cstring>
 #include <sstream>
-#include <type_traits>
 
 #include "sgnn/store/serialize.hpp"
 #include "sgnn/util/error.hpp"
@@ -13,28 +11,7 @@ namespace {
 
 constexpr char kMagic[4] = {'S', 'G', 'B', 'P'};
 constexpr std::uint32_t kVersion = 2;
-
-// memcpy through a char buffer instead of reinterpret_cast on &value: the
-// byte layout (and thus the on-disk format) is identical, but no pointer of
-// the wrong type is ever formed.
-template <typename T>
-void write_raw(std::ostream& out, const T& value) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  char bytes[sizeof(T)];
-  std::memcpy(bytes, &value, sizeof(T));
-  out.write(bytes, sizeof(T));
-}
-
-template <typename T>
-T read_raw(std::istream& in) {
-  static_assert(std::is_trivially_copyable_v<T>);
-  char bytes[sizeof(T)];
-  in.read(bytes, sizeof(T));
-  SGNN_CHECK(in.good(), "truncated bp file");
-  T value;
-  std::memcpy(&value, bytes, sizeof(T));
-  return value;
-}
+constexpr char kTruncated[] = "truncated bp file";
 
 }  // namespace
 
@@ -100,7 +77,7 @@ BpReader::BpReader(const std::string& path)
   in_.read(magic, 4);
   SGNN_CHECK(in_.good() && std::equal(magic, magic + 4, kMagic),
              "'" << path << "' is not a bp file (bad magic)");
-  const auto version = read_raw<std::uint32_t>(in_);
+  const auto version = read_raw<std::uint32_t>(in_, kTruncated);
   SGNN_CHECK(version == kVersion,
              "'" << path << "' has unsupported bp version " << version);
 
@@ -111,7 +88,7 @@ BpReader::BpReader(const std::string& path)
   SGNN_CHECK(file_size >= 8 + kTrailer,
              "'" << path << "' too small to hold a bp footer");
   in_.seekg(static_cast<std::streamoff>(file_size - 12));
-  const auto footer_size = read_raw<std::uint64_t>(in_);
+  const auto footer_size = read_raw<std::uint64_t>(in_, kTruncated);
   char tail_magic[4];
   in_.read(tail_magic, 4);
   SGNN_CHECK(in_.good() && std::equal(tail_magic, tail_magic + 4, kMagic),
@@ -125,18 +102,18 @@ BpReader::BpReader(const std::string& path)
   in_.seekg(static_cast<std::streamoff>(file_size - kTrailer - footer_size));
   std::string index_bytes(footer_size, '\0');
   in_.read(index_bytes.data(), static_cast<std::streamsize>(footer_size));
-  const auto stored_crc = read_raw<std::uint32_t>(in_);
+  const auto stored_crc = read_raw<std::uint32_t>(in_, kTruncated);
   SGNN_CHECK(crc32(index_bytes.data(), index_bytes.size()) == stored_crc,
              "'" << path << "' footer CRC mismatch (corrupt index)");
 
   std::istringstream index_stream(index_bytes);
-  const auto count = read_raw<std::uint64_t>(index_stream);
+  const auto count = read_raw<std::uint64_t>(index_stream, kTruncated);
   SGNN_CHECK(footer_size == 8 + count * 16,
              "'" << path << "' footer length disagrees with record count");
   index_.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
-    const auto offset = read_raw<std::uint64_t>(index_stream);
-    const auto size = read_raw<std::uint64_t>(index_stream);
+    const auto offset = read_raw<std::uint64_t>(index_stream, kTruncated);
+    const auto size = read_raw<std::uint64_t>(index_stream, kTruncated);
     SGNN_CHECK(offset >= 8 && offset + size <= file_size,
                "'" << path << "' record " << i << " out of bounds");
     index_.emplace_back(offset, size);

@@ -233,6 +233,7 @@ void GradBucketer::drain_all_reduce(std::vector<real>& flat_grad) {
   SGNN_CHECK(active_, "drain outside a bucketed step");
   SGNN_CHECK(kind_ == CollectiveKind::kAllReduce,
              "drain_all_reduce on a reduce-scatter bucketer");
+  if (pre_drain_hook_) pre_drain_hook_();
   const obs::TraceSpan span("bucket_drain", "collective");
   flat_grad.assign(total_elements_, real{0});
   for (std::size_t b = 0; b < buckets_.size(); ++b) {
@@ -247,6 +248,7 @@ void GradBucketer::drain_reduce_scatter(std::vector<real>& grad_shard) {
   SGNN_CHECK(active_, "drain outside a bucketed step");
   SGNN_CHECK(kind_ == CollectiveKind::kReduceScatter,
              "drain_reduce_scatter on an all-reduce bucketer");
+  if (pre_drain_hook_) pre_drain_hook_();
   const obs::TraceSpan span("bucket_drain", "collective");
   const auto [s, e] =
       Communicator::shard_range(total_elements_, rank_, comm_.num_ranks());

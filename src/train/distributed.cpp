@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <exception>
+#include <functional>
 #include <numeric>
 #include <optional>
 #include <thread>
@@ -10,61 +11,18 @@
 #include "sgnn/graph/batch.hpp"
 #include "sgnn/graph/partition.hpp"
 #include "sgnn/nn/model_io.hpp"
-#include "sgnn/obs/prof.hpp"
 #include "sgnn/obs/telemetry.hpp"
 #include "sgnn/obs/trace.hpp"
 #include "sgnn/tensor/kernels.hpp"
-#include "sgnn/tensor/ops.hpp"
 #include "sgnn/train/halo.hpp"
-#include "sgnn/train/schedule.hpp"
 #include "sgnn/train/zero.hpp"
 #include "sgnn/util/error.hpp"
 #include "sgnn/util/logging.hpp"
 #include "sgnn/util/rng.hpp"
 #include "sgnn/util/timer.hpp"
+#include "train_step.hpp"
 
 namespace sgnn {
-
-namespace {
-
-/// Restores a flat optimizer-state section into a moment tensor.
-void restore_tensor(const std::vector<real>& flat, Tensor& dst) {
-  SGNN_CHECK(static_cast<std::int64_t>(flat.size()) == dst.numel(),
-             "optimizer-state section holds " << flat.size()
-                                              << " values, tensor expects "
-                                              << dst.numel());
-  std::copy(flat.begin(), flat.end(), dst.data());
-}
-
-/// Flattens a plain Adam's per-parameter moment list into one contiguous
-/// checkpoint section, in parameter order.
-std::vector<real> flatten_moments(const std::vector<Tensor>& moments) {
-  std::vector<real> flat;
-  for (const Tensor& t : moments) {
-    flat.insert(flat.end(), t.data(), t.data() + t.numel());
-  }
-  return flat;
-}
-
-/// Restores a flattened moment section back into per-parameter tensors.
-void restore_moments(const std::vector<real>& flat,
-                     std::vector<Tensor>& moments) {
-  std::size_t offset = 0;
-  for (Tensor& t : moments) {
-    const auto count = static_cast<std::size_t>(t.numel());
-    SGNN_CHECK(offset + count <= flat.size(),
-               "optimizer-state section is too short: needs more than "
-                   << flat.size() << " values");
-    std::copy_n(flat.data() + offset, count, t.data());
-    offset += count;
-  }
-  SGNN_CHECK(offset == flat.size(),
-             "optimizer-state section holds "
-                 << flat.size() << " values, the moment list expects "
-                 << offset);
-}
-
-}  // namespace
 
 const char* dist_strategy_name(DistStrategy strategy) {
   switch (strategy) {
@@ -139,24 +97,24 @@ DistTrainReport DistributedTrainer::train(const DDStore& store) {
   // replicated exactly, and a DDP all-reduce-then-average of R identical
   // gradients is NOT a bitwise no-op (g + g + g rounds), so averaging would
   // break the parity contract.
-  std::vector<std::unique_ptr<DDPAdam>> ddp;
-  std::vector<std::unique_ptr<ZeroAdam>> zero;
-  std::vector<std::unique_ptr<Adam>> gpadam;
+  std::vector<std::unique_ptr<Adam>> optimizers;
   for (int r = 0; r < R; ++r) {
     auto params = replicas_[static_cast<std::size_t>(r)]->parameters();
     if (gp) {
-      gpadam.push_back(
+      optimizers.push_back(
           std::make_unique<Adam>(std::move(params), options_.adam));
     } else if (options_.strategy == DistStrategy::kDDP) {
-      ddp.push_back(std::make_unique<DDPAdam>(comm, std::move(params),
-                                              options_.adam,
-                                              options_.bucket_bytes));
-      ddp.back()->set_max_grad_norm(options_.max_grad_norm);
+      auto ddp = std::make_unique<DDPAdam>(comm, std::move(params),
+                                           options_.adam,
+                                           options_.bucket_bytes);
+      ddp->set_max_grad_norm(options_.max_grad_norm);
+      optimizers.push_back(std::move(ddp));
     } else {
-      zero.push_back(std::make_unique<ZeroAdam>(comm, std::move(params),
-                                                options_.adam, /*stage=*/1,
-                                                options_.bucket_bytes));
-      zero.back()->set_max_grad_norm(options_.max_grad_norm);
+      auto zero = std::make_unique<ZeroAdam>(comm, std::move(params),
+                                             options_.adam, /*stage=*/1,
+                                             options_.bucket_bytes);
+      zero->set_max_grad_norm(options_.max_grad_norm);
+      optimizers.push_back(std::move(zero));
     }
   }
 
@@ -210,31 +168,8 @@ DistTrainReport DistributedTrainer::train(const DDStore& store) {
         replicas_[static_cast<std::size_t>(r)]->copy_parameters_from(
             *replicas_.front());
       }
-      const std::int64_t timestep = view.i64("optim.timestep");
-      const double lr = view.f64("optim.lr");
       for (int r = 0; r < R; ++r) {
-        const auto rr = static_cast<std::size_t>(r);
-        if (gp) {
-          // Replicated plain-Adam state: every rank restores the same
-          // flattened moments, unpacked back into per-parameter tensors.
-          restore_moments(view.reals("optim.m"), gpadam[rr]->moment1());
-          restore_moments(view.reals("optim.v"), gpadam[rr]->moment2());
-          gpadam[rr]->set_timestep(timestep);
-          gpadam[rr]->set_learning_rate(lr);
-        } else if (options_.strategy == DistStrategy::kDDP) {
-          // Replicated Adam state: every rank restores the same moments.
-          restore_tensor(view.reals("optim.m"), ddp[rr]->moment1());
-          restore_tensor(view.reals("optim.v"), ddp[rr]->moment2());
-          ddp[rr]->set_timestep(timestep);
-          ddp[rr]->set_learning_rate(lr);
-        } else {
-          // Sharded Adam state: rank r restores only its own shard.
-          const std::string suffix = "." + std::to_string(r);
-          restore_tensor(view.reals("optim.m" + suffix), zero[rr]->moment1());
-          restore_tensor(view.reals("optim.v" + suffix), zero[rr]->moment2());
-          zero[rr]->set_timestep(timestep);
-          zero[rr]->set_learning_rate(lr);
-        }
+        optimizers[static_cast<std::size_t>(r)]->restore_state(view, r);
       }
       initial_sampler.set_state(
           ckpt::pod_from_bytes<Rng::State>(view.bytes("sampler.rng")));
@@ -265,10 +200,6 @@ DistTrainReport DistributedTrainer::train(const DDStore& store) {
     // Tags spans and log lines from this thread with the rank, so the
     // exported trace renders one timeline per simulated GPU.
     const obs::ScopedTraceRank trace_rank(rank);
-    EGNNModel& model = *replicas_[ri];
-    EGNNModel::ForwardOptions forward_options;
-    forward_options.activation_checkpointing =
-        options_.activation_checkpointing;
     Rng sampler(options_.sampler_seed);
     sampler.set_state(sampler_start);  // identical on every rank
     const WallTimer timer;
@@ -276,341 +207,182 @@ DistTrainReport DistributedTrainer::train(const DDStore& store) {
     std::int64_t counted_steps = start_counted;
     std::int64_t local_steps = 0;
 
-    GradBucketer* const bucketer =
-        gp ? nullptr
-           : (options_.strategy == DistStrategy::kDDP ? ddp[ri]->bucketer()
-                                                      : zero[ri]->bucketer());
-    if (!gp && copt.crash_in_overlap_step > 0) {
-      // Crash-during-overlap fault injection: fires inside the optimizer
-      // step, after every bucket is posted and before any drain. All ranks
-      // run the same step count, so every rank throws together and the
-      // progress engine can still complete the (symmetric) posted ops.
-      const auto crash_in_overlap = [&counted_steps, &copt] {
-        if (counted_steps + 1 == copt.crash_in_overlap_step) {
-          throw ckpt::SimulatedCrash(counted_steps);
-        }
-      };
-      if (options_.strategy == DistStrategy::kDDP) {
-        ddp[ri]->set_pre_drain_hook(crash_in_overlap);
-      } else {
-        zero[ri]->set_pre_drain_hook(crash_in_overlap);
+    // Loss scaling is a single-process option: ranks train unscaled.
+    LossScaler unscaled{LossScaler::Options{}};
+    StepState state{.model = *replicas_[ri],
+                    .optimizer = *optimizers[ri],
+                    .loss_weights = options_.loss_weights,
+                    .schedule = options_.schedule,
+                    .checkpoint = copt,
+                    .loss_scaler = unscaled,
+                    .completed_steps = counted_steps,
+                    .rank = rank,
+                    .telemetry = options_.telemetry,
+                    .forward_options = {.activation_checkpointing =
+                                            options_.activation_checkpointing}};
+
+    // Crash-during-overlap fault injection: fires during step
+    // crash_in_overlap_step inside an overlap window — after the window's
+    // collectives are posted and before the first wait. All ranks run the
+    // same step count, so every rank throws together and the (symmetric)
+    // posted ops can still complete.
+    const std::function<void()> crash_in_window = [&counted_steps, &copt] {
+      if (counted_steps + 1 == copt.crash_in_overlap_step) {
+        throw ckpt::SimulatedCrash(counted_steps);
       }
+    };
+    GradBucketer* const bucketer = optimizers[ri]->bucketer();
+    if (bucketer != nullptr && copt.crash_in_overlap_step > 0) {
+      // The gradient buckets' window: posted, not yet drained.
+      bucketer->set_pre_drain_hook(crash_in_window);
     }
 
-    for (std::int64_t epoch = start_epoch; epoch < options_.epochs; ++epoch) {
-      // Pre-shuffle sampler state: a mid-epoch checkpoint stores it so a
-      // resume can re-derive this epoch's permutation by re-shuffling.
-      const Rng::State epoch_start_state = sampler.state();
-      // Shared shuffled order; rank r takes the r-th stride (the standard
-      // distributed sampler). All ranks draw the same permutation because
-      // the sampler RNG is seeded identically.
-      std::vector<std::int64_t> order(
-          static_cast<std::size_t>(store.size()));
+    // Position of the step being run, read by the hooks below.
+    std::int64_t epoch = start_epoch;
+    std::int64_t step = start_step;
+    // Shared shuffled order; rank r takes the r-th stride (the standard
+    // distributed sampler). All ranks draw the same permutation because the
+    // sampler RNG is seeded identically.
+    std::vector<std::int64_t> order(static_cast<std::size_t>(store.size()));
+    // Pre-shuffle sampler state: a mid-epoch checkpoint stores it so a
+    // resume can re-derive this epoch's permutation by re-shuffling.
+    Rng::State epoch_start_state = sampler.state();
+    // Graph-parallel: this step's partition and halo exchanger. The
+    // exchanger's buffers belong to in-flight collectives, so it must
+    // outlive backward — it is released once the step has returned.
+    std::optional<gpar::GraphPartition> partition;
+    std::optional<gpar::HaloExchanger> halo;
+    Communicator::Traffic traffic_before;
+
+    StepHooks hooks;
+    hooks.fetch = [&] {
+      std::vector<const MolecularGraph*> samples;
+      {
+        const obs::TraceSpan span("fetch_batch", "data");
+        for (std::int64_t b = 0; b < options_.per_rank_batch_size; ++b) {
+          // Graph-parallel ranks fetch the SAME samples (they cooperate on
+          // one shared batch); the replicated strategies stride by rank
+          // through the shared permutation.
+          const std::int64_t position =
+              step * global_batch + (gp ? b : b * R + rank);
+          samples.push_back(
+              &store.fetch(rank, order[static_cast<std::size_t>(position)]));
+        }
+      }
+      return GraphBatch::from_graphs(samples);
+    };
+    hooks.prepare = [&](const GraphBatch& batch,
+                        EGNNModel::ForwardOptions& forward_options) {
+      if (gp) {
+        partition.emplace(gpar::GraphPartition::build(batch, R));
+        halo.emplace(comm, rank, *partition, batch);
+        forward_options.graph_parallel = &*halo;
+        if (copt.crash_in_overlap_step > 0) {
+          // The halo-exchange window: boundary gathers posted, not yet
+          // waited; the exchanger destructors drain them on unwind.
+          halo->set_pre_wait_hook(crash_in_window);
+        }
+      }
+      // Collective payload attributed to this step starts here, ahead of
+      // the halo collectives forward posts and the gradient buckets
+      // backward posts. Every collective needs rank 0's post, so nothing
+      // else can run between its previous step and this snapshot. The
+      // counters are updated once per collective (by rank 0 or the
+      // engine), so the delta is exact on rank 0 and reported 0 elsewhere.
+      if (rank == 0) traffic_before = comm.traffic();
+    };
+    hooks.account = [&](obs::StepTelemetry& telemetry) {
+      if (rank != 0) return;
+      // One formula for per-step and aggregate accounting: the modeled time
+      // of the step's traffic delta. seconds() is additive over deltas, so
+      // these per-step values sum exactly to the aggregate comm_seconds in
+      // the final report (no double-counted latency).
+      const Communicator::Traffic delta = comm.traffic().since(traffic_before);
+      telemetry.collective_bytes = delta.total_bytes();
+      telemetry.comm_seconds_modeled = interconnect_.seconds(delta, R);
+      // Overlap priced from post/wait stamps: the halo exchanger's in
+      // graph-parallel runs (every collective there is halo traffic), the
+      // bucketer's otherwise. Collectives outside the stamped ones (ghost
+      // gradients, readout replication, ring folds; the ZeRO clip's scalar
+      // all-reduce) are blocking and count as fully exposed:
+      // exposed = overlap-priced exposure + (delta - event total).
+      std::optional<InterconnectModel::OverlapCost> cost;
+      if (gp) {
+        cost = interconnect_.overlap_cost(halo->take_events(), R);
+      } else if (bucketer != nullptr) {
+        cost = interconnect_.overlap_cost(bucketer->take_events(), R);
+      }
+      if (cost) {
+        telemetry.comm_exposed_seconds = std::min(
+            telemetry.comm_seconds_modeled,
+            cost->exposed_seconds +
+                std::max(0.0,
+                         telemetry.comm_seconds_modeled - cost->total_seconds));
+      } else {
+        // Sequential blocking path: every modeled second is exposed.
+        telemetry.comm_exposed_seconds = telemetry.comm_seconds_modeled;
+      }
+      telemetry.comm_overlapped_seconds =
+          telemetry.comm_seconds_modeled - telemetry.comm_exposed_seconds;
+      telemetry.comm_buckets = cost && !gp ? cost->ops : 0;
+      if (gp) {
+        telemetry.halo_bytes = halo->halo_bytes();
+        telemetry.halo_exchanges = halo->exchanges();
+        telemetry.halo_exposed_seconds = telemetry.comm_exposed_seconds;
+        telemetry.halo_overlapped_seconds = telemetry.comm_overlapped_seconds;
+        halo_bytes_total += telemetry.halo_bytes;
+        halo_exchanges_total += telemetry.halo_exchanges;
+        halo_exposed_total += telemetry.halo_exposed_seconds;
+        halo_overlapped_total += telemetry.halo_overlapped_seconds;
+      }
+      exposed_seconds_total += telemetry.comm_exposed_seconds;
+      overlapped_seconds_total += telemetry.comm_overlapped_seconds;
+      buckets_total += telemetry.comm_buckets;
+    };
+    hooks.save_checkpoint = [&] {
+      // Rank 0 snapshots ALL ranks' state between two barriers: every other
+      // rank is parked in the second barrier while the writer reads the
+      // shared parameters and (for ZeRO) the other ranks' moment shards, so
+      // the cross-thread reads are race-free — the barrier's mutex/condvar
+      // provides the happens-before edge.
+      comm.barrier();
+      if (rank == 0) {
+        const bool epoch_done = step + 1 == steps_per_epoch;
+        ckpt::SnapshotBuilder builder;
+        builder.add_bytes("meta.kind", gp ? "dist.gpar" : "dist");
+        builder.add_i64("meta.ranks", R);
+        builder.add_i64("meta.strategy",
+                        static_cast<std::int64_t>(options_.strategy));
+        builder.add_i64("meta.step", counted_steps);
+        builder.add_i64("meta.epoch", epoch_done ? epoch + 1 : epoch);
+        builder.add_i64("meta.epoch_step", epoch_done ? 0 : step + 1);
+        builder.add_bytes("model", model_payload_bytes(*replicas_.front()));
+        // The state the NEXT step's epoch starts shuffling from.
+        const Rng::State resume_rng =
+            epoch_done ? sampler.state() : epoch_start_state;
+        builder.add_bytes("sampler.rng", ckpt::pod_bytes(resume_rng));
+        for (int r = 0; r < R; ++r) {
+          optimizers[static_cast<std::size_t>(r)]->save_state(builder, r);
+        }
+        manager->save(static_cast<std::uint64_t>(counted_steps),
+                      builder.payload());
+      }
+      comm.barrier();
+    };
+
+    for (; epoch < options_.epochs; ++epoch) {
+      epoch_start_state = sampler.state();
       std::iota(order.begin(), order.end(), 0);
       for (std::size_t i = order.size(); i > 1; --i) {
         std::swap(order[i - 1], order[sampler.uniform_index(i)]);
       }
-
-      const std::int64_t first_step = epoch == start_epoch ? start_step : 0;
-      for (std::int64_t step = first_step; step < steps_per_epoch; ++step) {
-        const WallTimer step_timer;
-        // Kernel-profile snapshot, rank 0 only: prof::totals() aggregates
-        // across every rank thread, so the per-step delta is process-wide
-        // (all R ranks' kernels), mirroring the comm accounting below.
-        const obs::prof::Totals prof_before =
-            rank == 0 ? obs::prof::totals() : obs::prof::Totals{};
-        const obs::prof::ProfRegion step_region("train_step");
-        std::vector<const MolecularGraph*> samples;
-        {
-          const obs::TraceSpan span("fetch_batch", "data");
-          for (std::int64_t b = 0; b < options_.per_rank_batch_size; ++b) {
-            // Graph-parallel ranks fetch the SAME samples (they cooperate
-            // on one shared batch); the replicated strategies stride by
-            // rank through the shared permutation.
-            const std::int64_t position =
-                step * global_batch + (gp ? b : b * R + rank);
-            samples.push_back(&store.fetch(
-                rank, order[static_cast<std::size_t>(position)]));
-          }
-        }
-        const GraphBatch batch = GraphBatch::from_graphs(samples);
-
-        if (gp) {
-          gpadam[ri]->zero_grad();
-        } else if (options_.strategy == DistStrategy::kDDP) {
-          ddp[ri]->zero_grad();
-        } else {
-          zero[ri]->zero_grad();
-        }
-
-        // Graph-parallel: partition the shared batch and stand up this
-        // step's halo exchanger. Its buffers belong to in-flight
-        // collectives, so it must outlive backward — it lives to the end
-        // of the step iteration.
-        std::optional<gpar::GraphPartition> partition;
-        std::optional<gpar::HaloExchanger> halo;
-        // The halo collectives post during FORWARD, so the graph-parallel
-        // traffic snapshot sits ahead of it; the replicated strategies
-        // snapshot after forward instead (see the comment below).
-        Communicator::Traffic traffic_before;
-        if (gp) {
-          partition.emplace(gpar::GraphPartition::build(batch, R));
-          halo.emplace(comm, rank, *partition, batch);
-          forward_options.graph_parallel = &*halo;
-          if (copt.crash_in_overlap_step > 0) {
-            // Crash INSIDE the halo-exchange window: fires after the
-            // boundary gathers are posted and before the first wait. All
-            // ranks run the same step count, so every rank throws together
-            // and the exchanger destructors drain the symmetric posted ops.
-            halo->set_pre_wait_hook([&counted_steps, &copt] {
-              if (counted_steps + 1 == copt.crash_in_overlap_step) {
-                throw ckpt::SimulatedCrash(counted_steps);
-              }
-            });
-          }
-          if (rank == 0) traffic_before = comm.traffic();
-        }
-        double step_loss = 0;
-        Tensor total;
-        {
-          const obs::TraceSpan span("forward", "train");
-          const obs::prof::ProfRegion region("forward");
-          const ScopedTrainPhase phase(TrainPhase::kForward);
-          const auto out = model.forward(batch, forward_options);
-          const LossTerms terms =
-              multitask_loss(out, batch, options_.loss_weights);
-          step_loss = terms.total.item();
-          loss_sum += step_loss;
-          total = terms.total;
-        }
-        // Collective payload attributed to this step. The replicated
-        // strategies snapshot here — BEFORE backward — because the
-        // overlapped path posts (and the progress engine counts) bucket
-        // collectives mid-backward; the drain inside the optimizer step
-        // completes before the closing snapshot, so the delta captures
-        // every bucket exactly once. The counters are updated once per
-        // collective (by rank 0 or the engine), so the delta is exact on
-        // rank 0 and reported 0 elsewhere.
-        if (rank == 0 && !gp) traffic_before = comm.traffic();
-        {
-          const obs::TraceSpan span("backward", "train");
-          const obs::prof::ProfRegion region("backward");
-          const ScopedTrainPhase phase(TrainPhase::kBackward);
-          // Arm the bucketer and observe leaf-gradient completion: each
-          // bucket's collective is posted the moment its last gradient is
-          // produced, overlapping communication with the rest of backward.
-          std::optional<autograd::ScopedLeafGradHook> grad_hook;
-          if (bucketer != nullptr) {
-            bucketer->begin_step(rank);
-            grad_hook.emplace(
-                [bucketer](const void* leaf) { bucketer->on_leaf_grad(leaf); });
-          }
-          total.backward();
-        }
-        double grad_norm = 0;
-        {
-          const obs::TraceSpan span("optimizer", "train");
-          const obs::prof::ProfRegion region("optimizer");
-          const ScopedTrainPhase phase(TrainPhase::kOptimizer);
-          if (options_.telemetry != nullptr) {
-            grad_norm = grad_l2_norm(model.parameters());
-          }
-          if (options_.schedule) {
-            // Pure function of the global step, so replicas agree for free.
-            const double lr = options_.schedule->at_step(counted_steps);
-            if (gp) {
-              gpadam[ri]->set_learning_rate(lr);
-            } else if (options_.strategy == DistStrategy::kDDP) {
-              ddp[ri]->set_learning_rate(lr);
-            } else {
-              zero[ri]->set_learning_rate(lr);
-            }
-          }
-          if (gp) {
-            // No gradient collective at all: the halo exchanges already
-            // left every rank holding the exact replicated gradient, so a
-            // plain local Adam update keeps the replicas bit-identical.
-            gpadam[ri]->step();
-          } else if (options_.strategy == DistStrategy::kDDP) {
-            ddp[ri]->step(rank);
-          } else {
-            zero[ri]->step(rank);
-          }
-        }
-
-        obs::StepTelemetry telemetry;
-        telemetry.step = counted_steps;
-        telemetry.epoch = epoch;
-        telemetry.rank = rank;
-        telemetry.loss = step_loss;
-        telemetry.grad_norm = grad_norm;
-        // The EFFECTIVE learning rate this step used (schedule- and
-        // resume-aware), not the base configuration value.
-        telemetry.learning_rate =
-            gp ? gpadam[ri]->learning_rate()
-               : (options_.strategy == DistStrategy::kDDP
-                      ? ddp[ri]->learning_rate()
-                      : zero[ri]->learning_rate());
-        telemetry.batch_graphs = batch.num_graphs;
-        telemetry.batch_atoms = batch.num_nodes;
-        telemetry.batch_edges = batch.num_edges;
-        telemetry.step_seconds = step_timer.seconds();
-        if (telemetry.step_seconds > 0) {
-          telemetry.atoms_per_sec =
-              static_cast<double>(telemetry.batch_atoms) /
-              telemetry.step_seconds;
-          telemetry.graphs_per_sec =
-              static_cast<double>(telemetry.batch_graphs) /
-              telemetry.step_seconds;
-        }
-        if (rank == 0) {
-          // One formula for per-step and aggregate accounting: the modeled
-          // time of the step's traffic delta. seconds() is additive over
-          // deltas, so these per-step values sum exactly to the aggregate
-          // comm_seconds in the final report (no double-counted latency).
-          const Communicator::Traffic delta =
-              comm.traffic().since(traffic_before);
-          telemetry.collective_bytes = delta.total_bytes();
-          telemetry.comm_seconds_modeled = interconnect_.seconds(delta, R);
-          if (gp) {
-            // Every collective this step is halo traffic. Price its
-            // overlap from the exchanger's post/wait stamps: the boundary
-            // gathers count as whatever the distance/RBF compute window
-            // actually hid, the blocking exchanges (ghost gradients,
-            // readout replication, ring folds) as fully exposed.
-            const auto cost =
-                interconnect_.overlap_cost(halo->take_events(), R);
-            const double exposed = std::min(
-                telemetry.comm_seconds_modeled,
-                cost.exposed_seconds +
-                    std::max(0.0, telemetry.comm_seconds_modeled -
-                                      cost.total_seconds));
-            telemetry.comm_exposed_seconds = exposed;
-            telemetry.comm_overlapped_seconds =
-                telemetry.comm_seconds_modeled - exposed;
-            telemetry.comm_buckets = 0;
-            telemetry.halo_bytes = halo->halo_bytes();
-            telemetry.halo_exchanges = halo->exchanges();
-            telemetry.halo_exposed_seconds = exposed;
-            telemetry.halo_overlapped_seconds =
-                telemetry.comm_overlapped_seconds;
-            halo_bytes_total += telemetry.halo_bytes;
-            halo_exchanges_total += telemetry.halo_exchanges;
-            halo_exposed_total += telemetry.halo_exposed_seconds;
-            halo_overlapped_total += telemetry.halo_overlapped_seconds;
-          } else if (bucketer != nullptr) {
-            // Price the overlap honestly from the bucketer's post/wait
-            // stamps. Collectives outside the bucketer (the ZeRO clip's
-            // scalar all-reduce) are blocking and count as fully exposed:
-            // exposed = overlap-priced exposure + (delta - event total).
-            const auto cost =
-                interconnect_.overlap_cost(bucketer->take_events(), R);
-            const double exposed = std::min(
-                telemetry.comm_seconds_modeled,
-                cost.exposed_seconds +
-                    std::max(0.0, telemetry.comm_seconds_modeled -
-                                      cost.total_seconds));
-            telemetry.comm_exposed_seconds = exposed;
-            telemetry.comm_overlapped_seconds =
-                telemetry.comm_seconds_modeled - exposed;
-            telemetry.comm_buckets = cost.ops;
-          } else {
-            // Sequential blocking path: every modeled second is exposed.
-            telemetry.comm_exposed_seconds = telemetry.comm_seconds_modeled;
-            telemetry.comm_overlapped_seconds = 0;
-            telemetry.comm_buckets = 0;
-          }
-          exposed_seconds_total += telemetry.comm_exposed_seconds;
-          overlapped_seconds_total += telemetry.comm_overlapped_seconds;
-          buckets_total += telemetry.comm_buckets;
-        }
-        telemetry.live_bytes = MemoryTracker::instance().live().total();
-        telemetry.peak_bytes = MemoryTracker::instance().peak_total();
-        if (rank == 0) {
-          const obs::prof::Totals prof_after = obs::prof::totals();
-          telemetry.kernel_seconds =
-              prof_after.kernel_seconds - prof_before.kernel_seconds;
-          telemetry.kernel_flops = prof_after.flops - prof_before.flops;
-          telemetry.kernel_bytes = prof_after.bytes - prof_before.bytes;
-        }
-        telemetry.kernel_backend =
-            kernels::backend_name(kernels::active_backend());
-        telemetry.compute_dtype =
-            kernels::dtype_name(kernels::active_compute_dtype());
-        obs::record_step_metrics(telemetry);
-        if (options_.telemetry != nullptr) {
-          options_.telemetry->on_step(telemetry);
-        }
-        ++counted_steps;
+      state.epoch = epoch;
+      for (step = epoch == start_epoch ? start_step : 0;
+           step < steps_per_epoch; ++step) {
+        loss_sum += train_step(state, hooks);
         ++local_steps;
-
-        if (manager && counted_steps % copt.every_steps == 0) {
-          // Rank 0 snapshots ALL ranks' state between two barriers: every
-          // other rank is parked in the second barrier while the writer
-          // reads the shared parameters and (for ZeRO) the other ranks'
-          // moment shards, so the cross-thread reads are race-free — the
-          // barrier's mutex/condvar provides the happens-before edge.
-          comm.barrier();
-          if (rank == 0) {
-            const bool epoch_done = step + 1 == steps_per_epoch;
-            ckpt::SnapshotBuilder builder;
-            builder.add_bytes("meta.kind", gp ? "dist.gpar" : "dist");
-            builder.add_i64("meta.ranks", R);
-            builder.add_i64("meta.strategy",
-                            static_cast<std::int64_t>(options_.strategy));
-            builder.add_i64("meta.step", counted_steps);
-            builder.add_i64("meta.epoch", epoch_done ? epoch + 1 : epoch);
-            builder.add_i64("meta.epoch_step", epoch_done ? 0 : step + 1);
-            builder.add_bytes("model",
-                              model_payload_bytes(*replicas_.front()));
-            // The state the NEXT step's epoch starts shuffling from.
-            const Rng::State resume_rng =
-                epoch_done ? sampler.state() : epoch_start_state;
-            builder.add_bytes("sampler.rng", ckpt::pod_bytes(resume_rng));
-            if (gp) {
-              // Replicated plain-Adam state: rank 0's flattened moments
-              // stand for every rank (the parity invariant keeps them
-              // bitwise equal).
-              builder.add_i64("optim.timestep", gpadam[ri]->timestep());
-              builder.add_f64("optim.lr", gpadam[ri]->learning_rate());
-              const std::vector<real> m =
-                  flatten_moments(gpadam[ri]->moment1());
-              const std::vector<real> v =
-                  flatten_moments(gpadam[ri]->moment2());
-              builder.add_reals("optim.m", m.data(), m.size());
-              builder.add_reals("optim.v", v.data(), v.size());
-            } else if (options_.strategy == DistStrategy::kDDP) {
-              builder.add_i64("optim.timestep", ddp[ri]->timestep());
-              builder.add_f64("optim.lr", ddp[ri]->learning_rate());
-              const Tensor& m = ddp[ri]->moment1();
-              const Tensor& v = ddp[ri]->moment2();
-              builder.add_reals("optim.m", m.data(),
-                                static_cast<std::size_t>(m.numel()));
-              builder.add_reals("optim.v", v.data(),
-                                static_cast<std::size_t>(v.numel()));
-            } else {
-              builder.add_i64("optim.timestep", zero[ri]->timestep());
-              builder.add_f64("optim.lr", zero[ri]->learning_rate());
-              for (int r = 0; r < R; ++r) {
-                const auto rr = static_cast<std::size_t>(r);
-                const std::string suffix = "." + std::to_string(r);
-                const Tensor& m = zero[rr]->moment1();
-                const Tensor& v = zero[rr]->moment2();
-                builder.add_reals("optim.m" + suffix, m.data(),
-                                  static_cast<std::size_t>(m.numel()));
-                builder.add_reals("optim.v" + suffix, v.data(),
-                                  static_cast<std::size_t>(v.numel()));
-              }
-            }
-            manager->save(static_cast<std::uint64_t>(counted_steps),
-                          builder.payload());
-          }
-          comm.barrier();
-        }
-        // Fault injection: every rank reaches this point with the same
-        // counted_steps and throws together — no rank is left behind in a
-        // barrier, so the simulated crash cannot deadlock the others.
-        ckpt::maybe_crash(copt, counted_steps);
+        halo.reset();
+        partition.reset();
       }
     }
     rank_loss[ri] = local_steps > 0

@@ -1,11 +1,50 @@
 #include "sgnn/train/optim.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <string>
 
+#include "sgnn/ckpt/checkpoint.hpp"
 #include "sgnn/util/error.hpp"
 #include "sgnn/util/thread_pool.hpp"
 
 namespace sgnn {
+
+std::vector<real> flatten_parameters(const std::vector<Tensor>& parameters) {
+  std::vector<real> flat;
+  for (const auto& p : parameters) {
+    const real* d = p.data();
+    flat.insert(flat.end(), d, d + p.numel());
+  }
+  return flat;
+}
+
+std::vector<real> flatten_gradients(const std::vector<Tensor>& parameters) {
+  std::vector<real> flat;
+  for (const auto& p : parameters) {
+    const Tensor grad = p.grad();
+    if (grad.defined()) {
+      const real* d = grad.data();
+      flat.insert(flat.end(), d, d + grad.numel());
+    } else {
+      flat.insert(flat.end(), static_cast<std::size_t>(p.numel()), real{0});
+    }
+  }
+  return flat;
+}
+
+void unflatten_into_parameters(const std::vector<real>& flat,
+                               std::vector<Tensor>& parameters) {
+  std::size_t offset = 0;
+  for (auto& p : parameters) {
+    const auto n = static_cast<std::size_t>(p.numel());
+    SGNN_CHECK(offset + n <= flat.size(), "unflatten size mismatch");
+    std::copy_n(flat.data() + offset, n, p.data());
+    offset += n;
+  }
+  SGNN_CHECK(offset == flat.size(), "unflatten left " << flat.size() - offset
+                                                      << " dangling values");
+}
 
 Optimizer::Optimizer(std::vector<Tensor> parameters)
     : parameters_(std::move(parameters)) {
@@ -31,7 +70,7 @@ SGD::SGD(std::vector<Tensor> parameters, double learning_rate, double momentum)
   }
 }
 
-void SGD::step() {
+void SGD::step(int /*rank*/) {
   auto& params = parameters();
   for (std::size_t i = 0; i < params.size(); ++i) {
     const Tensor grad = params[i].grad();
@@ -71,6 +110,45 @@ Adam::Adam(std::vector<Tensor> parameters, const Options& options)
   }
 }
 
+Adam::Adam(std::vector<Tensor> parameters, const Options& options,
+           std::int64_t moment_elements, bool sharded)
+    : Optimizer(std::move(parameters)), options_(options), sharded_(sharded) {
+  learning_rate_ = options.learning_rate;
+  const ScopedMemCategory scope(MemCategory::kOptimizerState);
+  m_.push_back(Tensor::zeros(Shape{moment_elements}));
+  v_.push_back(Tensor::zeros(Shape{moment_elements}));
+}
+
+Adam::Options Adam::step_options() const {
+  Options options = options_;
+  options.learning_rate = learning_rate_;  // honor schedule updates
+  return options;
+}
+
+void Adam::save_state(ckpt::SnapshotBuilder& builder, int rank) const {
+  if (rank == 0) {
+    builder.add_i64("optim.timestep", timestep_);
+    builder.add_f64("optim.lr", learning_rate_);
+  }
+  // Replicated moments are bitwise equal on every rank: rank 0's stand in.
+  if (!sharded_ && rank != 0) return;
+  const std::string suffix = sharded_ ? "." + std::to_string(rank) : "";
+  const std::vector<real> m = flatten_parameters(m_);
+  const std::vector<real> v = flatten_parameters(v_);
+  builder.add_reals("optim.m" + suffix, m.data(), m.size());
+  builder.add_reals("optim.v" + suffix, v.data(), v.size());
+}
+
+void Adam::restore_state(const ckpt::SnapshotView& view, int rank) {
+  const std::int64_t timestep = view.i64("optim.timestep");
+  SGNN_CHECK(timestep >= 0, "Adam timestep must be non-negative");
+  const std::string suffix = sharded_ ? "." + std::to_string(rank) : "";
+  unflatten_into_parameters(view.reals("optim.m" + suffix), m_);
+  unflatten_into_parameters(view.reals("optim.v" + suffix), v_);
+  timestep_ = timestep;
+  learning_rate_ = view.f64("optim.lr");
+}
+
 void Adam::update_flat(real* param, const real* grad, real* m, real* v,
                        std::size_t count, std::int64_t timestep,
                        const Options& options) {
@@ -94,10 +172,9 @@ void Adam::update_flat(real* param, const real* grad, real* m, real* v,
                });
 }
 
-void Adam::step() {
+void Adam::step(int /*rank*/) {
   ++timestep_;
-  Options options = options_;
-  options.learning_rate = learning_rate_;  // honor schedule updates
+  const Options options = step_options();
   auto& params = parameters();
   for (std::size_t i = 0; i < params.size(); ++i) {
     const Tensor grad = params[i].grad();

@@ -1,15 +1,11 @@
 #include "sgnn/train/trainer.hpp"
 
 #include "sgnn/nn/model_io.hpp"
-#include "sgnn/obs/prof.hpp"
-#include "sgnn/obs/telemetry.hpp"
 #include "sgnn/obs/trace.hpp"
-#include "sgnn/tensor/kernels.hpp"
-#include "sgnn/tensor/ops.hpp"
-#include "sgnn/train/zero.hpp"
 #include "sgnn/util/error.hpp"
 #include "sgnn/util/logging.hpp"
 #include "sgnn/util/timer.hpp"
+#include "train_step.hpp"
 
 namespace sgnn {
 
@@ -30,28 +26,12 @@ std::string Trainer::build_snapshot(const DataLoader& loader) {
   builder.add_i64("meta.step", global_step_);
   builder.add_i64("meta.epoch", epoch_index_);
   builder.add_bytes("model", model_payload_bytes(model_));
-  builder.add_i64("optim.timestep", optimizer_.timestep());
-  builder.add_f64("optim.lr", optimizer_.learning_rate());
-  const std::vector<real> m = flatten_parameters(optimizer_.moment1());
-  const std::vector<real> v = flatten_parameters(optimizer_.moment2());
-  builder.add_reals("optim.m", m.data(), m.size());
-  builder.add_reals("optim.v", v.data(), v.size());
+  optimizer_.save_state(builder, /*rank=*/0);
   const DataLoader::State loader_state = loader.state();
   builder.add_bytes("loader.rng", ckpt::pod_bytes(loader_state.rng));
   builder.add_u64s("loader.order", loader_state.order);
   builder.add_u64("loader.cursor", loader_state.cursor);
   return builder.payload();
-}
-
-void Trainer::maybe_checkpoint(const DataLoader& loader) {
-  const auto& copt = options_.checkpoint;
-  if (copt.every_steps <= 0) return;
-  if (global_step_ % copt.every_steps != 0) return;
-  if (!ckpt_manager_) {
-    ckpt_manager_.emplace(copt.directory, copt.keep_last);
-  }
-  ckpt_manager_->save(static_cast<std::uint64_t>(global_step_),
-                      build_snapshot(loader));
 }
 
 bool Trainer::try_resume(DataLoader& loader) {
@@ -67,12 +47,7 @@ bool Trainer::try_resume(DataLoader& loader) {
   SGNN_CHECK(view.bytes("meta.kind") == "trainer",
              "snapshot '" << loaded->path << "' is not a trainer checkpoint");
   load_model_payload(model_, view.bytes("model"));
-  optimizer_.set_timestep(view.i64("optim.timestep"));
-  optimizer_.set_learning_rate(view.f64("optim.lr"));
-  std::vector<real> m = view.reals("optim.m");
-  std::vector<real> v = view.reals("optim.v");
-  unflatten_into_parameters(m, optimizer_.moment1());
-  unflatten_into_parameters(v, optimizer_.moment2());
+  optimizer_.restore_state(view, /*rank=*/0);
   DataLoader::State loader_state;
   loader_state.rng = ckpt::pod_from_bytes<Rng::State>(view.bytes("loader.rng"));
   loader_state.order = view.u64s("loader.order");
@@ -98,102 +73,37 @@ Trainer::EpochResult Trainer::train_epoch(DataLoader& loader) {
   } else {
     loader.begin_epoch();
   }
-  EGNNModel::ForwardOptions forward_options;
-  forward_options.activation_checkpointing =
-      options_.activation_checkpointing;
-
-  const obs::TraceSpan epoch_span("train_epoch", "train");
-
-  while (loader.has_next()) {
-    const WallTimer step_timer;
-    const obs::prof::Totals prof_before = obs::prof::totals();
-    const obs::prof::ProfRegion step_region("train_step");
+  StepState state{.model = model_,
+                  .optimizer = optimizer_,
+                  .loss_weights = options_.loss_weights,
+                  .schedule = options_.schedule,
+                  .checkpoint = options_.checkpoint,
+                  .loss_scaler = loss_scaler_,
+                  .completed_steps = global_step_,
+                  .epoch = epoch_index_,
+                  .max_grad_norm = options_.max_grad_norm,
+                  .telemetry = telemetry_,
+                  .forward_options = {.activation_checkpointing =
+                                          options_.activation_checkpointing}};
+  StepHooks hooks;
+  hooks.fetch = [&] {
     GraphBatch batch = loader.next();
     if (use_baseline_) baseline_.subtract_from(batch);
-    optimizer_.zero_grad();
+    return batch;
+  };
+  hooks.save_checkpoint = [&] {
+    if (!ckpt_manager_) {
+      ckpt_manager_.emplace(options_.checkpoint.directory,
+                            options_.checkpoint.keep_last);
+    }
+    ckpt_manager_->save(static_cast<std::uint64_t>(global_step_),
+                        build_snapshot(loader));
+  };
 
-    double step_loss = 0;
-    Tensor total;
-    {
-      const obs::TraceSpan span("forward", "train");
-      const obs::prof::ProfRegion region("forward");
-      const ScopedTrainPhase phase(TrainPhase::kForward);
-      const auto out = model_.forward(batch, forward_options);
-      LossTerms terms = multitask_loss(out, batch, options_.loss_weights);
-      // The reported loss stays unscaled; only the backward graph sees the
-      // loss-scale factor.
-      step_loss = terms.total.item();
-      loss_sum += step_loss;
-      total = loss_scaler_.enabled()
-                  ? scale(terms.total,
-                          static_cast<real>(loss_scaler_.scale()))
-                  : terms.total;
-    }
-    {
-      const obs::TraceSpan span("backward", "train");
-      const obs::prof::ProfRegion region("backward");
-      const ScopedTrainPhase phase(TrainPhase::kBackward);
-      total.backward();
-    }
-    double grad_norm = 0;
-    {
-      const obs::TraceSpan span("optimizer", "train");
-      const obs::prof::ProfRegion region("optimizer");
-      const ScopedTrainPhase phase(TrainPhase::kOptimizer);
-      if (options_.schedule) {
-        optimizer_.set_learning_rate(options_.schedule->at_step(global_step_));
-      }
-      const bool overflowed =
-          loss_scaler_.enabled() &&
-          LossScaler::grads_overflowed(model_.parameters());
-      if (loss_scaler_.update(overflowed)) {
-        loss_scaler_.unscale(model_.parameters());
-        if (options_.max_grad_norm > 0) {
-          grad_norm =
-              clip_grad_norm(model_.parameters(), options_.max_grad_norm);
-        } else if (telemetry_ != nullptr) {
-          grad_norm = grad_l2_norm(model_.parameters());
-        }
-        optimizer_.step();
-      } else {
-        // Overflow: skip the parameter update, keep the step count moving
-        // (AMP semantics) so schedules and checkpoints stay aligned.
-        SGNN_LOG_DEBUG << "step " << global_step_
-                       << ": non-finite gradients, optimizer step skipped";
-      }
-      ++global_step_;
-    }
-
-    obs::StepTelemetry step;
-    step.step = global_step_ - 1;
-    step.epoch = epoch_index_;
-    step.loss = step_loss;
-    step.grad_norm = grad_norm;
-    step.learning_rate = optimizer_.learning_rate();
-    step.batch_graphs = batch.num_graphs;
-    step.batch_atoms = batch.num_nodes;
-    step.batch_edges = batch.num_edges;
-    step.step_seconds = step_timer.seconds();
-    if (step.step_seconds > 0) {
-      step.atoms_per_sec =
-          static_cast<double>(step.batch_atoms) / step.step_seconds;
-      step.graphs_per_sec =
-          static_cast<double>(step.batch_graphs) / step.step_seconds;
-    }
-    step.live_bytes = MemoryTracker::instance().live().total();
-    step.peak_bytes = MemoryTracker::instance().peak_total();
-    const obs::prof::Totals prof_after = obs::prof::totals();
-    step.kernel_seconds = prof_after.kernel_seconds - prof_before.kernel_seconds;
-    step.kernel_flops = prof_after.flops - prof_before.flops;
-    step.kernel_bytes = prof_after.bytes - prof_before.bytes;
-    step.kernel_backend = kernels::backend_name(kernels::active_backend());
-    step.compute_dtype = kernels::dtype_name(kernels::active_compute_dtype());
-    obs::record_step_metrics(step);
-    if (telemetry_ != nullptr) telemetry_->on_step(step);
-
+  const obs::TraceSpan epoch_span("train_epoch", "train");
+  while (loader.has_next()) {
+    loss_sum += train_step(state, hooks);
     ++batches;
-    maybe_checkpoint(loader);
-    ckpt::maybe_crash(options_.checkpoint, global_step_);
   }
 
   ++epoch_index_;

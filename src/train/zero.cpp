@@ -8,42 +8,6 @@
 
 namespace sgnn {
 
-std::vector<real> flatten_parameters(const std::vector<Tensor>& parameters) {
-  std::vector<real> flat;
-  for (const auto& p : parameters) {
-    const real* d = p.data();
-    flat.insert(flat.end(), d, d + p.numel());
-  }
-  return flat;
-}
-
-std::vector<real> flatten_gradients(const std::vector<Tensor>& parameters) {
-  std::vector<real> flat;
-  for (const auto& p : parameters) {
-    const Tensor grad = p.grad();
-    if (grad.defined()) {
-      const real* d = grad.data();
-      flat.insert(flat.end(), d, d + grad.numel());
-    } else {
-      flat.insert(flat.end(), static_cast<std::size_t>(p.numel()), real{0});
-    }
-  }
-  return flat;
-}
-
-void unflatten_into_parameters(const std::vector<real>& flat,
-                               std::vector<Tensor>& parameters) {
-  std::size_t offset = 0;
-  for (auto& p : parameters) {
-    const auto n = static_cast<std::size_t>(p.numel());
-    SGNN_CHECK(offset + n <= flat.size(), "unflatten size mismatch");
-    std::copy_n(flat.data() + offset, n, p.data());
-    offset += n;
-  }
-  SGNN_CHECK(offset == flat.size(), "unflatten left " << flat.size() - offset
-                                                      << " dangling values");
-}
-
 namespace {
 
 std::size_t total_elements(const std::vector<Tensor>& parameters) {
@@ -52,20 +16,30 @@ std::size_t total_elements(const std::vector<Tensor>& parameters) {
   return total;
 }
 
+std::int64_t largest_shard(std::size_t total, int num_ranks) {
+  std::size_t largest = 0;
+  for (int r = 0; r < num_ranks; ++r) {
+    const auto [begin, end] = Communicator::shard_range(total, r, num_ranks);
+    largest = std::max(largest, end - begin);
+  }
+  return static_cast<std::int64_t>(largest);
+}
+
 }  // namespace
 
+// Both constructors copy `parameters` (tensor handles) into the base rather
+// than moving it: the moment size is computed from the same list in the
+// same argument list, whose evaluation order is unspecified.
 DDPAdam::DDPAdam(Communicator& comm, std::vector<Tensor> parameters,
                  const Adam::Options& options, std::size_t bucket_bytes)
-    : comm_(comm), parameters_(std::move(parameters)), options_(options) {
-  SGNN_CHECK(!parameters_.empty(), "DDPAdam needs parameters");
-  const auto n = static_cast<std::int64_t>(total_elements(parameters_));
+    : Adam(parameters, options,
+           static_cast<std::int64_t>(total_elements(parameters)),
+           /*sharded=*/false),
+      comm_(comm) {
   if (bucket_bytes > 0) {
     bucketer_ = std::make_unique<GradBucketer>(
-        comm_, parameters_, CollectiveKind::kAllReduce, bucket_bytes);
+        comm_, this->parameters(), CollectiveKind::kAllReduce, bucket_bytes);
   }
-  const ScopedMemCategory scope(MemCategory::kOptimizerState);
-  m_ = Tensor::zeros(Shape{n});
-  v_ = Tensor::zeros(Shape{n});
 }
 
 void DDPAdam::step(int rank) {
@@ -79,11 +53,10 @@ void DDPAdam::step(int rank) {
     // blocking all_reduce_sum produces — byte for byte.
     if (!bucketer_->active()) bucketer_->begin_step(rank);
     bucketer_->post_remaining();
-    if (pre_drain_hook_) pre_drain_hook_();
     bucketer_->drain_all_reduce(grad);
     bucketer_->end_step();
   } else {
-    grad = flatten_gradients(parameters_);
+    grad = flatten_gradients(parameters());
   }
   const ScopedBytes grad_staging(grad.size() * sizeof(real),
                                  MemCategory::kWorkspace);
@@ -107,45 +80,33 @@ void DDPAdam::step(int rank) {
     }
   }
 
-  std::vector<real> param = flatten_parameters(parameters_);
+  std::vector<real> param = flatten_parameters(parameters());
   const ScopedBytes param_staging(param.size() * sizeof(real),
                                   MemCategory::kWorkspace);
-  Adam::update_flat(param.data(), grad.data(), m_.data(), v_.data(),
-                    param.size(), timestep_, options_);
-  unflatten_into_parameters(param, parameters_);
+  update_flat(param.data(), grad.data(), m_.front().data(), v_.front().data(),
+              param.size(), timestep_, step_options());
+  unflatten_into_parameters(param, parameters());
 }
 
-void DDPAdam::zero_grad() {
-  for (auto& p : parameters_) p.zero_grad();
-}
-
+// The shard this rank owns is fixed by its position in the communicator;
+// every rank constructs its own ZeroAdam, so each allocates 1/R of the
+// optimizer state — the ZeRO stage-1 saving, visible to the memory tracker.
+// The moments are sized to the LARGEST shard so ranks are interchangeable.
 ZeroAdam::ZeroAdam(Communicator& comm, std::vector<Tensor> parameters,
                    const Adam::Options& options, int stage,
                    std::size_t bucket_bytes)
-    : comm_(comm),
-      parameters_(std::move(parameters)),
-      options_(options),
-      stage_(stage) {
-  SGNN_CHECK(!parameters_.empty(), "ZeroAdam needs parameters");
+    : Adam(parameters, options,
+           largest_shard(total_elements(parameters), comm.num_ranks()),
+           /*sharded=*/true),
+      comm_(comm),
+      stage_(stage),
+      total_elements_(total_elements(this->parameters())) {
   SGNN_CHECK(stage == 1 || stage == 2, "ZeRO stage must be 1 or 2");
-  total_elements_ = total_elements(parameters_);
   if (bucket_bytes > 0) {
     bucketer_ = std::make_unique<GradBucketer>(
-        comm_, parameters_, CollectiveKind::kReduceScatter, bucket_bytes);
+        comm_, this->parameters(), CollectiveKind::kReduceScatter,
+        bucket_bytes);
   }
-  // The shard this rank owns is fixed by its position in the communicator;
-  // every rank constructs its own ZeroAdam, so each allocates 1/R of the
-  // optimizer state — the ZeRO stage-1 saving, visible to the memory
-  // tracker. We size it to the LARGEST shard so ranks are interchangeable.
-  std::size_t max_shard = 0;
-  for (int r = 0; r < comm.num_ranks(); ++r) {
-    const auto [begin, end] =
-        Communicator::shard_range(total_elements_, r, comm.num_ranks());
-    max_shard = std::max(max_shard, end - begin);
-  }
-  const ScopedMemCategory scope(MemCategory::kOptimizerState);
-  m_ = Tensor::zeros(Shape{static_cast<std::int64_t>(max_shard)});
-  v_ = Tensor::zeros(Shape{static_cast<std::int64_t>(max_shard)});
 }
 
 void ZeroAdam::step(int rank) {
@@ -160,10 +121,9 @@ void ZeroAdam::step(int rank) {
     // shard the blocking reduce_scatter_sum yields.
     if (!bucketer_->active()) bucketer_->begin_step(rank);
     bucketer_->post_remaining();
-    if (pre_drain_hook_) pre_drain_hook_();
     bucketer_->drain_reduce_scatter(grad_shard);
   } else {
-    const std::vector<real> grad = flatten_gradients(parameters_);
+    const std::vector<real> grad = flatten_gradients(parameters());
     const ScopedBytes grad_staging(grad.size() * sizeof(real),
                                    MemCategory::kWorkspace);
     SGNN_CHECK(grad.size() == total_elements_, "gradient size changed");
@@ -172,7 +132,7 @@ void ZeroAdam::step(int rank) {
   if (stage_ == 2) {
     // Gradient partitioning: the full per-parameter gradient buffers are
     // no longer needed once the owned shard exists.
-    for (auto& p : parameters_) p.zero_grad();
+    zero_grad();
   }
   const auto scale = real{1} / static_cast<real>(comm_.num_ranks());
   for (auto& g : grad_shard) g *= scale;
@@ -195,7 +155,7 @@ void ZeroAdam::step(int rank) {
   }
 
   // Update only the owned parameter shard with the owned optimizer state.
-  std::vector<real> param = flatten_parameters(parameters_);
+  std::vector<real> param = flatten_parameters(parameters());
   const ScopedBytes param_staging(param.size() * sizeof(real),
                                   MemCategory::kWorkspace);
   const auto [begin, end] =
@@ -203,8 +163,9 @@ void ZeroAdam::step(int rank) {
   SGNN_CHECK(end - begin == grad_shard.size(), "shard size mismatch");
   std::vector<real> param_shard(param.begin() + static_cast<std::ptrdiff_t>(begin),
                                 param.begin() + static_cast<std::ptrdiff_t>(end));
-  Adam::update_flat(param_shard.data(), grad_shard.data(), m_.data(),
-                    v_.data(), param_shard.size(), timestep_, options_);
+  update_flat(param_shard.data(), grad_shard.data(), m_.front().data(),
+              v_.front().data(), param_shard.size(), timestep_,
+              step_options());
 
   // Reassemble the full updated parameter vector on every rank.
   if (bucketer_) {
@@ -214,12 +175,8 @@ void ZeroAdam::step(int rank) {
   } else {
     const std::vector<real> gathered = comm_.all_gather(rank, param_shard);
     SGNN_CHECK(gathered.size() == total_elements_, "all_gather size mismatch");
-    unflatten_into_parameters(gathered, parameters_);
+    unflatten_into_parameters(gathered, parameters());
   }
-}
-
-void ZeroAdam::zero_grad() {
-  for (auto& p : parameters_) p.zero_grad();
 }
 
 }  // namespace sgnn

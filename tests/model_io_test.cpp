@@ -5,6 +5,8 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <string>
 
 #include "sgnn/data/sources.hpp"
 #include "sgnn/graph/batch.hpp"
@@ -55,6 +57,32 @@ TEST(ModelIoTest, SaveLoadRoundTripPreservesPredictions) {
   EXPECT_EQ(actual.energy.to_vector(), expected.energy.to_vector());
   EXPECT_EQ(actual.forces.to_vector(), expected.forces.to_vector());
   EXPECT_EQ(restored->num_parameters(), original.num_parameters());
+}
+
+TEST(ModelIoTest, OverwriteIsPublishedAtomically) {
+  const TempFile file("sgnn_model_overwrite.sgmd");
+  const GraphBatch batch = test_batch();
+  const auto read_all = [](std::ifstream& in) {
+    return std::string(std::istreambuf_iterator<char>(in), {});
+  };
+  save_model(EGNNModel(small_config()), file.path());
+  std::ifstream first(file.path(), std::ios::binary);
+  const std::string original = read_all(first);
+  // A server that opened the model file before the overwrite.
+  std::ifstream reader(file.path(), std::ios::binary);
+
+  ModelConfig replacement_config = small_config();
+  replacement_config.seed = 99;
+  const EGNNModel replacement(replacement_config);
+  save_model(replacement, file.path());
+
+  // The new bytes went to a temporary sibling that a rename published: the
+  // old file was never written into, and no temporary is left behind.
+  EXPECT_EQ(read_all(reader), original);
+  EXPECT_FALSE(std::filesystem::exists(file.path() + ".tmp"));
+  const auto restored = load_model(file.path());
+  EXPECT_EQ(restored->forward(batch).energy.to_vector(),
+            replacement.forward(batch).energy.to_vector());
 }
 
 TEST(ModelIoTest, PeekConfigReadsHeaderOnly) {

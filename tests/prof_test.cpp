@@ -18,7 +18,13 @@
 #include <string>
 #include <vector>
 
+#include "sgnn/data/dataset.hpp"
+#include "sgnn/data/loader.hpp"
+#include "sgnn/obs/telemetry.hpp"
+#include "sgnn/store/ddstore.hpp"
 #include "sgnn/tensor/ops.hpp"
+#include "sgnn/train/distributed.hpp"
+#include "sgnn/train/trainer.hpp"
 
 namespace sgnn {
 namespace {
@@ -355,6 +361,88 @@ TEST(ProfOverheadTest, DisabledHookUnderOnePercentOfSmallKernel) {
       << "disabled hook costs " << hook_ns << " ns; reference kernel took "
       << matmul_ns << " ns";
   EXPECT_EQ(prof::totals().kernel_calls, 0);
+}
+
+
+// -- trainer profile paths ----------------------------------------------------
+//
+// perfbench derives nn.forward_ms, nn.backward_ms and train.optimizer_ms from
+// the train_step;{forward,backward,optimizer} paths, so both trainers must
+// open each of them exactly once per rank step.
+
+const AggregatedDataset& path_dataset() {
+  static const AggregatedDataset dataset = [] {
+    DatasetOptions options;
+    options.target_bytes = 200 << 10;
+    options.seed = 37;
+    static const ReferencePotential potential;
+    return AggregatedDataset::generate(options, potential);
+  }();
+  return dataset;
+}
+
+ModelConfig path_model() {
+  ModelConfig config;
+  config.hidden_dim = 8;
+  config.num_layers = 2;
+  return config;
+}
+
+std::int64_t calls_at(const prof::Report& report, const std::string& path) {
+  std::int64_t calls = 0;
+  for (const auto& row : report.tree) {
+    if (row.path == path) calls += row.calls;
+  }
+  return calls;
+}
+
+void expect_step_phase_paths(const prof::Report& report, std::int64_t steps) {
+  ASSERT_GT(steps, 0);
+  for (const char* phase : {"forward", "backward", "optimizer"}) {
+    EXPECT_EQ(calls_at(report, std::string("train_step;") + phase), steps)
+        << phase;
+  }
+}
+
+TEST_F(ProfTest, TrainerOpensStepPhasePaths) {
+  std::vector<const MolecularGraph*> graphs;
+  for (const auto& g : path_dataset().graphs()) graphs.push_back(&g);
+  DataLoader loader(graphs, /*batch_size=*/4, /*seed=*/3);
+  EGNNModel model(path_model());
+  TrainOptions options;
+  options.epochs = 1;
+  Trainer trainer(model, options);
+  obs::RecordingTelemetrySink sink;
+  trainer.set_telemetry(&sink);
+  trainer.fit(loader);
+
+  expect_step_phase_paths(prof::report(/*with_calibration=*/false),
+                          static_cast<std::int64_t>(sink.steps().size()));
+}
+
+TEST_F(ProfTest, GraphParallelTrainerOpensStepPhaseAndHaloPaths) {
+  constexpr int kRanks = 2;
+  DDStore store(kRanks);
+  store.insert(path_dataset().graphs());
+  DistTrainOptions options;
+  options.num_ranks = kRanks;
+  options.epochs = 1;
+  options.per_rank_batch_size = 4;
+  options.graph_parallel = true;
+  obs::RecordingTelemetrySink sink;
+  options.telemetry = &sink;
+  DistributedTrainer trainer(path_model(), options);
+  const DistTrainReport result = trainer.train(store);
+
+  // One StepTelemetry per rank step; every rank thread opens the regions.
+  const auto rank_steps = static_cast<std::int64_t>(sink.steps().size());
+  EXPECT_EQ(rank_steps, kRanks * result.steps);
+  const prof::Report report = prof::report(/*with_calibration=*/false);
+  expect_step_phase_paths(report, rank_steps);
+  EXPECT_TRUE(std::any_of(report.tree.begin(), report.tree.end(),
+                          [](const prof::TreeRow& row) {
+                            return row.name == "halo";
+                          }));
 }
 
 }  // namespace

@@ -155,14 +155,14 @@ TEST(StructureCacheTest, HitRequiresMatchingBytesNotJustHash) {
   cache.insert(key, result);
 
   CachedResult out;
-  EXPECT_TRUE(cache.lookup(key, /*need_forces=*/false, out));
+  EXPECT_TRUE(cache.lookup(key, /*need_forces=*/false, 0, out));
   EXPECT_DOUBLE_EQ(out.energy, -3.5);
 
   // Forced collision: same hash, different canonical bytes. Must be a
   // counted miss (recompute), never a wrong answer.
   CanonicalKey collider = key;
   collider.bytes += "#not-the-same-structure";
-  EXPECT_FALSE(cache.lookup(collider, /*need_forces=*/false, out));
+  EXPECT_FALSE(cache.lookup(collider, /*need_forces=*/false, 0, out));
   EXPECT_EQ(cache.stats().collisions, 1);
 }
 
@@ -175,8 +175,8 @@ TEST(StructureCacheTest, EnergyOnlyEntryCannotServeForceRequest) {
   cache.insert(key, energy_only);
 
   CachedResult out;
-  EXPECT_FALSE(cache.lookup(key, /*need_forces=*/true, out));
-  EXPECT_TRUE(cache.lookup(key, /*need_forces=*/false, out));
+  EXPECT_FALSE(cache.lookup(key, /*need_forces=*/true, 0, out));
+  EXPECT_TRUE(cache.lookup(key, /*need_forces=*/false, 0, out));
 }
 
 TEST(StructureCacheTest, EvictsLeastRecentlyUsed) {
@@ -189,12 +189,12 @@ TEST(StructureCacheTest, EvictsLeastRecentlyUsed) {
   cache.insert(b, CachedResult{});
 
   CachedResult out;
-  EXPECT_TRUE(cache.lookup(a, false, out));  // touch a; b is now LRU
+  EXPECT_TRUE(cache.lookup(a, false, 0, out));  // touch a; b is now LRU
   cache.insert(c, CachedResult{});
   EXPECT_EQ(cache.size(), 2u);
-  EXPECT_TRUE(cache.lookup(a, false, out));
-  EXPECT_FALSE(cache.lookup(b, false, out));
-  EXPECT_TRUE(cache.lookup(c, false, out));
+  EXPECT_TRUE(cache.lookup(a, false, 0, out));
+  EXPECT_FALSE(cache.lookup(b, false, 0, out));
+  EXPECT_TRUE(cache.lookup(c, false, 0, out));
   EXPECT_GE(cache.stats().evictions, 1);
 }
 
@@ -204,7 +204,7 @@ TEST(StructureCacheTest, ZeroCapacityDisablesCaching) {
   const CanonicalKey key = canonicalize(random_cluster(4, 5.0, rng));
   cache.insert(key, CachedResult{});
   CachedResult out;
-  EXPECT_FALSE(cache.lookup(key, false, out));
+  EXPECT_FALSE(cache.lookup(key, false, 0, out));
   EXPECT_EQ(cache.size(), 0u);
 }
 
@@ -433,6 +433,34 @@ TEST(ServerTest, WeightSwapUnderLoadIsZeroDowntime) {
   torn.resize(torn.size() / 2);
   EXPECT_THROW(server.swap_weights(torn), Error);
   EXPECT_EQ(server.weights_version(), 2u);
+}
+
+TEST(ServerTest, CachedResultDoesNotOutliveWeightSwap) {
+  const ModelConfig config = serve_config();
+  const EGNNModel model_v1(config);
+  ModelConfig v2_config = config;
+  v2_config.seed = 999;  // same architecture, different weights
+  const EGNNModel model_v2(v2_config);
+  Server server(config, model_payload_bytes(model_v1), ServerOptions{});
+
+  Rng rng(16);
+  const AtomicStructure s = random_cluster(8, 5.0, rng);
+  const InferenceResult v1 = server.submit({s, false}).get();
+  EXPECT_EQ(v1.weights_version, 1u);
+  EXPECT_TRUE(server.submit({s, false}).get().cache_hit);
+
+  // The entry cached under v1 is stale after the swap: the same structure
+  // must be recomputed with the v2 weights and reported as v2.
+  server.swap_weights(model_payload_bytes(model_v2));
+  const InferenceResult v2 = server.submit({s, false}).get();
+  EXPECT_FALSE(v2.cache_hit);
+  EXPECT_EQ(v2.weights_version, 2u);
+  EXPECT_NEAR(v2.energy, reference_predict(model_v2, s, false).first, 1e-9);
+
+  const InferenceResult cached_v2 = server.submit({s, false}).get();
+  EXPECT_TRUE(cached_v2.cache_hit);
+  EXPECT_EQ(cached_v2.weights_version, 2u);
+  EXPECT_DOUBLE_EQ(cached_v2.energy, v2.energy);
 }
 
 TEST(ServerTest, ConcurrentSubmittersAllComplete) {
