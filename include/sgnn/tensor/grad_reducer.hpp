@@ -1,11 +1,11 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
+#include <functional>
+
+#include "sgnn/tensor/tensor.hpp"
 
 namespace sgnn {
-
-class Tensor;
 
 /// Continuation-style reducer for gradients of REPLICATED leaf parameters
 /// whose activations are row-sharded across ranks (graph-parallel training,
@@ -16,7 +16,9 @@ class Tensor;
 /// of the local shards. A reducer therefore reproduces the single-rank
 /// gradient BIT-identically by continuing the fold rank to rank instead of
 /// summing per-rank partials (which would re-bracket the floating-point
-/// sum). See docs/graph-parallelism.md.
+/// sum). The op hands the reducer the kernel it runs on the local path, so
+/// each fold order has exactly one definition. See
+/// docs/graph-parallelism.md.
 ///
 /// The autograd ops capture the armed reducer at RECORD time and call it
 /// from their backward closures, so the arming scope only needs to span the
@@ -26,19 +28,14 @@ class ShardedGradReducer {
  public:
   virtual ~ShardedGradReducer() = default;
 
-  /// Full dW = A_global^T @ G_global where `a` (m, k) and `grad` (m, n) are
-  /// this rank's row shards; returns the replicated (k, n) gradient.
-  virtual Tensor matmul_weight_grad(const Tensor& a, const Tensor& grad) = 0;
-
-  /// Full (1, n) column sum of a row-sharded (m, n) gradient — the bias of
-  /// a Linear applied to sharded rows.
-  virtual Tensor rows_sum_grad(const Tensor& grad) = 0;
-
-  /// Full (rows, cols) scatter of a row-sharded gradient into a replicated
-  /// table (embedding backward); `index` holds this rank's local ids.
-  virtual Tensor scatter_rows_grad(const Tensor& grad,
-                                   const std::vector<std::int64_t>& index,
-                                   std::int64_t rows, std::int64_t cols) = 0;
+  /// Returns the replicated (rows, cols) gradient. `fold_local` receives a
+  /// row-major (rows, cols) accumulator holding the lower ranks' partial
+  /// (zeros on the first rank) and adds this rank's shard into it in the
+  /// op's own kernel order; it must open no KernelScope. The reducer prices
+  /// it with `flops`/`bytes` (computed by the op from its shard's shape).
+  virtual Tensor fold(std::int64_t rows, std::int64_t cols,
+                      std::int64_t flops, std::int64_t bytes,
+                      const std::function<void(real*)>& fold_local) = 0;
 };
 
 /// The reducer armed on the calling thread (nullptr outside graph-parallel

@@ -78,7 +78,7 @@ struct KernelTable {
   void (*matmul_rows_f32)(const float* a, const float* b, float* c,
                           std::int64_t k, std::int64_t n,
                           std::int64_t row_begin, std::int64_t row_end);
-  // C(k,n) = Aᵀ @ B with A given as (m,k), B as (m,n); band is rows of C.
+  // C(k,n) += Aᵀ @ B with A given as (m,k), B as (m,n); band is rows of C.
   void (*matmul_at_b_band_f64)(const real* a, const real* b, real* c,
                                std::int64_t m, std::int64_t k, std::int64_t n,
                                std::int64_t row_begin, std::int64_t row_end);
@@ -196,7 +196,9 @@ class ScopedComputeDtype {
 void matmul(const real* a, const real* b, real* c, std::int64_t m,
             std::int64_t k, std::int64_t n);
 
-/// c(k,n) = aᵀ @ b with a given as (m,k), b as (m,n).
+/// c(k,n) += aᵀ @ b with a given as (m,k), b as (m,n). C's initial value
+/// is each element's first addend, so calls over rows [0, m1) then
+/// [m1, m) into the same c are bit-identical to one call over all m rows.
 void matmul_at_b(const real* a, const real* b, real* c, std::int64_t m,
                  std::int64_t k, std::int64_t n);
 

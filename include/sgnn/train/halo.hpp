@@ -14,9 +14,11 @@ namespace sgnn::gpar {
 
 /// One rank's halo-exchange engine for a graph-parallel training step: the
 /// GraphParallelHook the EGNN forward sources ghost rows through, and the
-/// ShardedGradReducer its backward folds replicated parameter gradients
-/// with. One instance per rank per step; it must outlive the step's
-/// backward pass (its buffers belong to in-flight collectives).
+/// ShardedGradReducer that carries its backward's replicated
+/// parameter-gradient folds from rank to rank (the ops supply the fold
+/// arithmetic; this class only communicates). One instance per rank per
+/// step; it must outlive the step's backward pass (its buffers belong to
+/// in-flight collectives).
 ///
 /// Every exchange is built from Communicator::iall_gather_counts with
 /// globally identical counts, so the SPMD post sequence is symmetric by
@@ -28,8 +30,9 @@ namespace sgnn::gpar {
 /// * the ghost-gradient reduction folds per-edge gradient rows into each
 ///   owner row in GLOBAL edge order (rank-ascending blocks, slice order
 ///   within a block) — the exact order the unpartitioned scatter uses;
-/// * parameter gradients are fold continuations rank to rank (never
-///   partial-sum reductions, which would re-bracket the floating sums).
+/// * parameter gradients are fold continuations rank to rank, each rank
+///   running the op's own kernel on the carried partial (never partial-sum
+///   reductions, which would re-bracket the floating sums).
 class HaloExchanger final : public GraphParallelHook,
                             public ShardedGradReducer {
  public:
@@ -57,11 +60,13 @@ class HaloExchanger final : public GraphParallelHook,
   ShardedGradReducer* reducer() override { return this; }
 
   // -- ShardedGradReducer ---------------------------------------------------
-  Tensor matmul_weight_grad(const Tensor& a, const Tensor& grad) override;
-  Tensor rows_sum_grad(const Tensor& grad) override;
-  Tensor scatter_rows_grad(const Tensor& grad,
-                           const std::vector<std::int64_t>& index,
-                           std::int64_t rows, std::int64_t cols) override;
+  /// Rank-to-rank fold continuation: rank r waits rank r-1's partial, runs
+  /// `fold_local` on it under the `halo_ring.bwd` kernel row (priced with
+  /// the op's `flops`/`bytes`), and passes it on; the last rank's result is
+  /// replicated everywhere.
+  Tensor fold(std::int64_t rows, std::int64_t cols, std::int64_t flops,
+              std::int64_t bytes,
+              const std::function<void(real*)>& fold_local) override;
 
   // -- Instrumentation ------------------------------------------------------
   /// Fault-injection hook, fired after the boundary gathers are posted and
@@ -103,11 +108,6 @@ class HaloExchanger final : public GraphParallelHook,
   /// Backward of make_src_select: exchanges ghost per-edge gradient rows
   /// and folds them into owner rows in global edge order.
   Tensor ghost_scatter_grad(const Tensor& grad, std::int64_t cols);
-  /// Rank-to-rank fold continuation: `fold_own` adds this rank's rows into
-  /// the carried partial (exact single-rank bracketing); the result of the
-  /// last rank is replicated everywhere.
-  Tensor ring_fold(std::int64_t rows, std::int64_t cols,
-                   const std::function<void(real*)>& fold_own);
   void record_event(CollectiveKind kind, std::uint64_t bytes, double post,
                     double wait);
   /// Adds to the halo byte/exchange counters and obs metrics — once per

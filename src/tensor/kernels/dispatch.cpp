@@ -231,6 +231,7 @@ void matmul_at_b(const real* a, const real* b, real* c, std::int64_t m,
   std::vector<float> fc(static_cast<std::size_t>(k * n));
   cast_to_float(a, fa.data(), m * k);
   cast_to_float(b, fb.data(), m * n);
+  cast_to_float(c, fc.data(), k * n);  // the float accumulator starts at C
   const float* fap = fa.data();
   const float* fbp = fb.data();
   float* fcp = fc.data();

@@ -47,14 +47,14 @@ void matmul_rows_ref(const T* a, const T* b, T* c, std::int64_t k,
   }
 }
 
-/// C(k,n) = Aᵀ @ B with A (m,k), B (m,n); rows [row_begin, row_end) of C.
+/// C(k,n) += Aᵀ @ B with A (m,k), B (m,n); rows [row_begin, row_end) of C.
 /// p stays outermost so B rows stream contiguously once per band; per
-/// element the accumulation order over p matches matmul_rows_ref.
+/// element the accumulation order over p matches matmul_rows_ref, and C's
+/// initial value is the first addend, so splitting m continues the fold.
 template <typename T>
 void matmul_at_b_band_ref(const T* a, const T* b, T* c, std::int64_t m,
                           std::int64_t k, std::int64_t n,
                           std::int64_t row_begin, std::int64_t row_end) {
-  for (std::int64_t i = row_begin * n; i < row_end * n; ++i) c[i] = 0;
   for (std::int64_t p = 0; p < m; ++p) {
     const T* arow = a + p * k;
     const T* brow = b + p * n;

@@ -139,10 +139,11 @@ void matmul_rows_vec(const typename TR::S* a, const typename TR::S* b,
   if (pair_end < row_end) matmul_rows_ref<S>(a, b, c, k, n, pair_end, row_end);
 }
 
-// A^T·B over a band of C rows: same packed-panel GEBP structure as
+// C += A^T·B over a band of C rows: same packed-panel GEBP structure as
 // matmul_rows_vec (the reduction runs over m instead of k, and the
 // broadcast operands come from A columns) — bit-identical to the
-// reference kernel for the same reason.
+// reference kernel for the same reason. The accumulators always start from
+// C, so C's initial value is the fold's first addend.
 template <typename TR>
 void matmul_at_b_band_vec(const typename TR::S* a, const typename TR::S* b,
                           typename TR::S* c, std::int64_t m, std::int64_t k,
@@ -170,18 +171,10 @@ void matmul_at_b_band_vec(const typename TR::S* a, const typename TR::S* b,
       S* crow1 = crow0 + n;
       for (std::int64_t t = 0; t < tiles; ++t) {
         const std::int64_t j0 = t * jw;
-        Vec acc00, acc01, acc10, acc11;
-        if (p0 == 0) {
-          acc00 = TR::zero();
-          acc01 = TR::zero();
-          acc10 = TR::zero();
-          acc11 = TR::zero();
-        } else {
-          acc00 = TR::load(crow0 + j0);
-          acc01 = TR::load(crow0 + j0 + TR::W);
-          acc10 = TR::load(crow1 + j0);
-          acc11 = TR::load(crow1 + j0 + TR::W);
-        }
+        Vec acc00 = TR::load(crow0 + j0);
+        Vec acc01 = TR::load(crow0 + j0 + TR::W);
+        Vec acc10 = TR::load(crow1 + j0);
+        Vec acc11 = TR::load(crow1 + j0 + TR::W);
         const S* pb = packed.data() + t * kKc * jw;
         for (std::int64_t pp = 0; pp < pc; ++pp) {
           const Vec av0 = TR::set1(a[(p0 + pp) * k + i]);
@@ -199,8 +192,8 @@ void matmul_at_b_band_vec(const typename TR::S* a, const typename TR::S* b,
         TR::store(crow1 + j0 + TR::W, acc11);
       }
       for (std::int64_t j = n_vec; j < n; ++j) {
-        S s0 = p0 == 0 ? S{0} : crow0[j];
-        S s1 = p0 == 0 ? S{0} : crow1[j];
+        S s0 = crow0[j];
+        S s1 = crow1[j];
         for (std::int64_t pp = 0; pp < pc; ++pp) {
           s0 += a[(p0 + pp) * k + i] * b[(p0 + pp) * n + j];
           s1 += a[(p0 + pp) * k + i + 1] * b[(p0 + pp) * n + j];

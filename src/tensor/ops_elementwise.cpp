@@ -14,6 +14,7 @@ using kernels::UnaryOp;
 using obs::prof::sat_mul;
 using ops_detail::binary_broadcast;
 using ops_detail::kElementwiseGrain;
+using ops_detail::reduce_into;
 using ops_detail::reduce_to;
 
 namespace {
@@ -177,10 +178,16 @@ Tensor add(const Tensor& a, const Tensor& b) {
   Tensor out = Tensor::make_result(
       Shape::broadcast(a_shape, b_shape), {a, b},
       [=](const Tensor& grad) -> std::vector<Tensor> {
-        return {ring_a ? reducer->rows_sum_grad(grad)
-                       : reduce_to(grad, a_shape),
-                ring_b ? reducer->rows_sum_grad(grad)
-                       : reduce_to(grad, b_shape)};
+        // The reducer continues reduce_to's own fold, priced like it.
+        const auto ring = [&](const Shape& bias) {
+          return reducer->fold(
+              bias.dim(0), bias.dim(1), grad.numel(),
+              sat_mul(static_cast<std::int64_t>(sizeof(real)),
+                      obs::prof::sat_add(grad.numel(), bias.numel())),
+              [&](real* c) { reduce_into(grad, bias, c); });
+        };
+        return {ring_a ? ring(a_shape) : reduce_to(grad, a_shape),
+                ring_b ? ring(b_shape) : reduce_to(grad, b_shape)};
       },
       "add");
   {

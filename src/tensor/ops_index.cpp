@@ -63,16 +63,20 @@ Tensor index_select_rows(const Tensor& x,
       [=](const Tensor& grad) -> std::vector<Tensor> {
         // Rows gathered multiple times accumulate their gradients; the
         // scatter is receiver-sharded to keep that accumulation ordered.
-        const obs::prof::KernelScope prof(
-            "index_select", obs::prof::sat_mul(out_rows, cols),
-            obs::prof::sat_mul(3 * static_cast<std::int64_t>(sizeof(real)),
-                               out_rows, cols),
-            ".bwd");
+        // Under a reducer the scatter is the ring fold's work and is priced
+        // there (as halo_ring.bwd), so no scope opens here.
+        const std::int64_t bytes = obs::prof::sat_mul(
+            3 * static_cast<std::int64_t>(sizeof(real)), out_rows, cols);
+        const auto scatter = [&](real* gx) {
+          scatter_rows_into(grad.data(), index, gx, rows, cols);
+        };
         if (reducer != nullptr) {
-          return {reducer->scatter_rows_grad(grad, index, rows, cols)};
+          return {reducer->fold(rows, cols, 0, bytes, scatter)};
         }
+        const obs::prof::KernelScope prof(
+            "index_select", obs::prof::sat_mul(out_rows, cols), bytes, ".bwd");
         Tensor gx = Tensor::zeros(Shape{rows, cols});
-        scatter_rows_into(grad.data(), index, gx.data(), rows, cols);
+        scatter(gx.data());
         return {gx};
       },
       "index_select_rows");

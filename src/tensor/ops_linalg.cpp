@@ -34,19 +34,33 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
       [=](const Tensor& grad) -> std::vector<Tensor> {
         // dA = G @ Bᵀ, dB = Aᵀ @ G: two products, each priced like the
         // forward one (see the kernel cost model in docs/observability.md).
+        // Under a reducer dB is the ring fold's work and is priced there
+        // (as halo_ring.bwd), so this scope covers dA alone.
+        const std::int64_t products = reducer != nullptr ? 1 : 2;
         const std::int64_t w = kernels::compute_element_size();
-        const obs::prof::KernelScope prof(
-            "matmul", sat_mul(4, m, k, n),
-            sat_mul(2 * w, sat_add(sat_mul(m, k), sat_mul(k, n),
-                                   sat_mul(m, n))),
-            ".bwd");
         Tensor ga = Tensor::zeros(Shape{m, k});
-        kernels::matmul_a_bt(grad.data(), bd.data(), ga.data(), m, n, k);
-        if (reducer != nullptr) {
-          return {ga, reducer->matmul_weight_grad(ad, grad)};
+        Tensor gb;
+        {
+          const obs::prof::KernelScope prof(
+              "matmul", sat_mul(2 * products, m, k, n),
+              sat_mul(products * w, sat_add(sat_mul(m, k), sat_mul(k, n),
+                                            sat_mul(m, n))),
+              ".bwd");
+          kernels::matmul_a_bt(grad.data(), bd.data(), ga.data(), m, n, k);
+          if (reducer == nullptr) {
+            gb = Tensor::zeros(Shape{k, n});
+            kernels::matmul_at_b(ad.data(), grad.data(), gb.data(), m, k, n);
+          }
         }
-        Tensor gb = Tensor::zeros(Shape{k, n});
-        kernels::matmul_at_b(ad.data(), grad.data(), gb.data(), m, k, n);
+        if (reducer != nullptr) {
+          gb = reducer->fold(
+              k, n, sat_mul(2, m, k, n),
+              sat_mul(static_cast<std::int64_t>(sizeof(real)),
+                      sat_add(sat_mul(m, k), sat_mul(m, n), sat_mul(k, n))),
+              [&](real* c) {
+                kernels::matmul_at_b(ad.data(), grad.data(), c, m, k, n);
+              });
+        }
         return {ga, gb};
       },
       "matmul");

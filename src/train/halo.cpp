@@ -336,9 +336,15 @@ Tensor HaloExchanger::all_gather_rows(const Tensor& owned) {
   return out;
 }
 
-Tensor HaloExchanger::ring_fold(std::int64_t rows, std::int64_t cols,
-                                const std::function<void(real*)>& fold_own) {
+Tensor HaloExchanger::fold(std::int64_t rows, std::int64_t cols,
+                           std::int64_t flops, std::int64_t bytes,
+                           const std::function<void(real*)>& fold_local) {
   const obs::prof::ProfRegion region("halo");
+  // The op's own kernel, priced as a leaf: it opens no scope of its own.
+  const auto fold_own = [&](real* c) {
+    const obs::prof::KernelScope prof("halo_ring", flops, bytes, ".bwd");
+    fold_local(c);
+  };
   const std::size_t size =
       static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols);
   Tensor out = Tensor::zeros(Shape{rows, cols});
@@ -350,8 +356,8 @@ Tensor HaloExchanger::ring_fold(std::int64_t rows, std::int64_t cols,
 
   // Fold continuation around the ring: op i carries rank i's partial (the
   // fold of ranks 0..i over the zero initial value). Rank r waits op r-1,
-  // continues the fold with ITS rows (+= in the single-rank kernel's exact
-  // per-element order), posts op r, and everyone reads op R-1 — the full
+  // continues the fold with ITS rows (the op's single-rank kernel, run on
+  // the carried partial), posts op r, and everyone reads op R-1 — the full
   // gradient with single-rank bracketing, replicated. Empty pieces for the
   // other ops are posted eagerly, so op i is fully posted as soon as rank i
   // finishes its fold: the chain is deadlock-free by induction.
@@ -395,85 +401,6 @@ Tensor HaloExchanger::ring_fold(std::int64_t rows, std::int64_t cols,
   count_exchange(static_cast<std::uint64_t>(num_ranks) * size *
                  sizeof(real));
   return out;
-}
-
-Tensor HaloExchanger::matmul_weight_grad(const Tensor& a, const Tensor& grad) {
-  const std::int64_t m = a.dim(0);
-  const std::int64_t k = a.dim(1);
-  const std::int64_t n = grad.dim(1);
-  SGNN_CHECK(grad.dim(0) == m,
-             "matmul_weight_grad: " << m << " activation rows vs "
-                                    << grad.dim(0) << " gradient rows");
-  const Tensor ad = a.detach();
-  const Tensor gd = grad.detach();
-  return ring_fold(k, n, [m, k, n, ad, gd](real* c) {
-    // Continues matmul_at_b's fold: p outermost ascending, one separately
-    // rounded mul+add per element — the same bracketing the scalar AND
-    // simd kernels use (the simd TU pins -ffp-contract=off; this TU has no
-    // FMA to contract into).
-    const obs::prof::KernelScope prof(
-        "halo_ring", obs::prof::sat_mul(2, m, k, n),
-        obs::prof::sat_mul(static_cast<std::int64_t>(sizeof(real)),
-                           obs::prof::sat_add(obs::prof::sat_mul(m, k),
-                                              obs::prof::sat_mul(m, n),
-                                              obs::prof::sat_mul(k, n))),
-        ".bwd");
-    const real* pa = ad.data();
-    const real* pg = gd.data();
-    for (std::int64_t p = 0; p < m; ++p) {
-      const real* arow = pa + p * k;
-      const real* grow = pg + p * n;
-      for (std::int64_t i = 0; i < k; ++i) {
-        const real av = arow[i];
-        real* crow = c + i * n;
-        for (std::int64_t j = 0; j < n; ++j) crow[j] += av * grow[j];
-      }
-    }
-  });
-}
-
-Tensor HaloExchanger::rows_sum_grad(const Tensor& grad) {
-  const std::int64_t m = grad.dim(0);
-  const std::int64_t n = grad.dim(1);
-  const Tensor gd = grad.detach();
-  return ring_fold(1, n, [m, n, gd](real* c) {
-    // Continues reduce_to's serial row-major fold over the global rows.
-    const obs::prof::KernelScope prof(
-        "halo_ring", obs::prof::sat_mul(m, n),
-        obs::prof::sat_mul(static_cast<std::int64_t>(sizeof(real)),
-                           obs::prof::sat_add(obs::prof::sat_mul(m, n), n)),
-        ".bwd");
-    const real* pg = gd.data();
-    for (std::int64_t i = 0; i < m; ++i) {
-      const real* row = pg + i * n;
-      for (std::int64_t j = 0; j < n; ++j) c[j] += row[j];
-    }
-  });
-}
-
-Tensor HaloExchanger::scatter_rows_grad(const Tensor& grad,
-                                        const std::vector<std::int64_t>& index,
-                                        std::int64_t rows, std::int64_t cols) {
-  const std::int64_t m = grad.dim(0);
-  SGNN_CHECK(static_cast<std::size_t>(m) == index.size(),
-             "scatter_rows_grad: " << m << " rows vs " << index.size()
-                                   << " indices");
-  const Tensor gd = grad.detach();
-  return ring_fold(rows, cols, [m, cols, gd, &index](real* c) {
-    // Continues scatter_rows_into's per-receiver input-order fold (this
-    // rank's ids are a contiguous global-order slice of the input rows).
-    const obs::prof::KernelScope prof(
-        "halo_ring", 0,
-        obs::prof::sat_mul(3 * static_cast<std::int64_t>(sizeof(real)), m,
-                           cols),
-        ".bwd");
-    const real* pg = gd.data();
-    for (std::int64_t r = 0; r < m; ++r) {
-      real* dst = c + index[static_cast<std::size_t>(r)] * cols;
-      const real* row = pg + r * cols;
-      for (std::int64_t j = 0; j < cols; ++j) dst[j] += row[j];
-    }
-  });
 }
 
 }  // namespace sgnn::gpar

@@ -155,6 +155,41 @@ TEST(KernelIeee, TransposedVariantsPropagateNonFinites) {
   }
 }
 
+// -- fold continuation --------------------------------------------------------
+//
+// matmul_at_b accumulates into C, which is what lets a graph-parallel run
+// continue a weight-gradient fold from rank to rank.
+
+TEST(KernelContinuation, MatmulAtBSplitOverRowsIsBitIdentical) {
+  // m spans three 64-row panels, k is odd (the row-pair remainder), and n
+  // leaves a scalar tail at every vector width.
+  const std::int64_t m = 150, k = 7, n = 37;
+  const auto a = random_vector(m * k, 111);
+  const auto b = random_vector(m * n, 222);
+  const auto c0 = random_vector(k * n, 333);  // nonzero initial C
+  for (const auto dtype :
+       {kernels::ComputeDtype::kFloat64, kernels::ComputeDtype::kFloat32}) {
+    kernels::ScopedComputeDtype dtype_scope(dtype);
+    for (const auto backend : available_backends()) {
+      kernels::ScopedBackend scope(backend);
+      std::vector<real> whole = c0;
+      kernels::matmul_at_b(a.data(), b.data(), whole.data(), m, k, n);
+      for (const std::int64_t m1 : {0, 1, 37, 64, 100, 149, 150}) {
+        std::vector<real> split = c0;
+        kernels::matmul_at_b(a.data(), b.data(), split.data(), m1, k, n);
+        kernels::matmul_at_b(a.data() + m1 * k, b.data() + m1 * n,
+                             split.data(), m - m1, k, n);
+        for (std::size_t i = 0; i < whole.size(); ++i) {
+          ASSERT_EQ(whole[i], split[i])
+              << kernels::backend_name(backend) << "/"
+              << kernels::dtype_name(dtype) << " m1=" << m1 << " element "
+              << i;
+        }
+      }
+    }
+  }
+}
+
 // -- scalar <-> SIMD agreement ----------------------------------------------
 //
 // matmul, matmul_at_b, elementwise and accumulate are bit-identical across

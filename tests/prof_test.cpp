@@ -15,6 +15,7 @@
 #include <chrono>
 #include <cstdint>
 #include <optional>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -443,6 +444,22 @@ TEST_F(ProfTest, GraphParallelTrainerOpensStepPhaseAndHaloPaths) {
                           [](const prof::TreeRow& row) {
                             return row.name == "halo";
                           }));
+
+  // Kernels are leaves: the ring fold runs outside the op's KernelScope,
+  // and the op kernel it continues opens no scope under halo_ring.bwd.
+  std::set<std::string> kernel_names;
+  for (const prof::KernelRow& kernel : report.kernels) {
+    kernel_names.insert(kernel.name);
+  }
+  EXPECT_EQ(kernel_names.count("halo_ring.bwd"), 1u);
+  for (const prof::TreeRow& row : report.tree) {
+    const auto cut = row.path.rfind(';');
+    if (cut == std::string::npos) continue;
+    const std::string parent = row.path.substr(0, cut);
+    const std::string parent_name = parent.substr(parent.rfind(';') + 1);
+    EXPECT_EQ(kernel_names.count(parent_name), 0u)
+        << row.path << " nests under a kernel row";
+  }
 }
 
 }  // namespace
