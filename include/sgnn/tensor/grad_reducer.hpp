@@ -7,18 +7,19 @@
 
 namespace sgnn {
 
-/// Continuation-style reducer for gradients of REPLICATED leaf parameters
-/// whose activations are row-sharded across ranks (graph-parallel training,
-/// sgnn::gpar). Every parameter-gradient kernel in this repo is a fold over
-/// activation rows in ascending order (matmul_at_b is p-outermost, reduce_to
-/// and scatter_rows_into accumulate in input order), and under the
-/// partitioner the global row order is exactly the rank-order concatenation
-/// of the local shards. A reducer therefore reproduces the single-rank
-/// gradient BIT-identically by continuing the fold rank to rank instead of
-/// summing per-rank partials (which would re-bracket the floating-point
-/// sum). The op hands the reducer the kernel it runs on the local path, so
-/// each fold order has exactly one definition. See
-/// docs/graph-parallelism.md.
+/// Reducer for gradients of REPLICATED leaf parameters whose activations
+/// are row-sharded across ranks (graph-parallel training, sgnn::gpar). Every
+/// parameter-gradient fold in this repo — matmul's dB = AᵀG, the bias
+/// column sum, the embedding-table scatter — runs in the canonical blocked
+/// order over GLOBAL rows (kernels::kFoldBlockRows): each 64-row block is
+/// folded from +0 in the kernel's own in-block order and the block partials
+/// are added in ascending block order. Under the partitioner the global row
+/// order is exactly the rank-order concatenation of the local shards, so a
+/// reducer reproduces the single-rank gradient BIT-identically by folding
+/// each rank's whole blocks locally and continuing only the block that
+/// straddles a rank boundary. The op hands the reducer the kernel it runs
+/// on the local path, so each in-block order has exactly one definition.
+/// See docs/graph-parallelism.md.
 ///
 /// The autograd ops capture the armed reducer at RECORD time and call it
 /// from their backward closures, so the arming scope only needs to span the
@@ -26,16 +27,21 @@ namespace sgnn {
 /// on the same thread); the reducer object itself must outlive backward.
 class ShardedGradReducer {
  public:
+  /// Adds the op's local rows [begin, end) into the row-major (rows, cols)
+  /// accumulator `c`, continuing whatever fold `c` holds, in the op's own
+  /// kernel order. It must open no KernelScope.
+  using RowFold =
+      std::function<void(std::int64_t begin, std::int64_t end, real* c)>;
+
   virtual ~ShardedGradReducer() = default;
 
-  /// Returns the replicated (rows, cols) gradient. `fold_local` receives a
-  /// row-major (rows, cols) accumulator holding the lower ranks' partial
-  /// (zeros on the first rank) and adds this rank's shard into it in the
-  /// op's own kernel order; it must open no KernelScope. The reducer prices
-  /// it with `flops`/`bytes` (computed by the op from its shard's shape).
-  virtual Tensor fold(std::int64_t rows, std::int64_t cols,
-                      std::int64_t flops, std::int64_t bytes,
-                      const std::function<void(real*)>& fold_local) = 0;
+  /// Returns the replicated (rows, cols) gradient of a fold over this
+  /// rank's `local_rows` rows. The reducer calls `fold_rows` on row ranges
+  /// of the shard and prices the calls with `flops`/`bytes` (computed by the
+  /// op for its whole shard).
+  virtual Tensor fold(std::int64_t local_rows, std::int64_t rows,
+                      std::int64_t cols, std::int64_t flops,
+                      std::int64_t bytes, const RowFold& fold_rows) = 0;
 };
 
 /// The reducer armed on the calling thread (nullptr outside graph-parallel

@@ -40,6 +40,16 @@ namespace sgnn::kernels {
 enum class Backend { kScalar = 0, kSimd = 1 };
 enum class ComputeDtype { kFloat64 = 0, kFloat32 = 1 };
 
+/// Rows per block of the canonical blocked order of the parameter-gradient
+/// folds (matmul_at_b_blocked, sum_rows_blocked, and the embedding scatter):
+/// block b holds rows [64b, 64b + 64), each block is folded from +0 in the
+/// kernel's own in-block order, and the block partials are added into the
+/// result in ascending block order. The order depends only on row indices,
+/// never on a split of the rows or on the thread count, which is what lets
+/// graph-parallel ranks fold their whole blocks concurrently. Equal to the
+/// SIMD matmul_at_b panel height, so a panel is one block.
+inline constexpr std::int64_t kFoldBlockRows = 64;
+
 /// Elementwise binary kernels (same-shape and scalar-broadcast fast paths).
 enum class BinaryOp { kAdd, kSub, kMul, kDiv };
 
@@ -79,12 +89,15 @@ struct KernelTable {
                           std::int64_t k, std::int64_t n,
                           std::int64_t row_begin, std::int64_t row_end);
   // C(k,n) += Aᵀ @ B with A given as (m,k), B as (m,n); band is rows of C.
+  // `blocked`: the canonical blocked order (see matmul_at_b_blocked).
   void (*matmul_at_b_band_f64)(const real* a, const real* b, real* c,
                                std::int64_t m, std::int64_t k, std::int64_t n,
-                               std::int64_t row_begin, std::int64_t row_end);
+                               std::int64_t row_begin, std::int64_t row_end,
+                               bool blocked);
   void (*matmul_at_b_band_f32)(const float* a, const float* b, float* c,
                                std::int64_t m, std::int64_t k, std::int64_t n,
-                               std::int64_t row_begin, std::int64_t row_end);
+                               std::int64_t row_begin, std::int64_t row_end,
+                               bool blocked);
   // C(m,k) = A(m,n) @ Bᵀ with B given as (k,n); band is rows of C.
   void (*matmul_a_bt_rows_f64)(const real* a, const real* b, real* c,
                                std::int64_t n, std::int64_t k,
@@ -201,6 +214,24 @@ void matmul(const real* a, const real* b, real* c, std::int64_t m,
 /// [m1, m) into the same c are bit-identical to one call over all m rows.
 void matmul_at_b(const real* a, const real* b, real* c, std::int64_t m,
                  std::int64_t k, std::int64_t n);
+
+/// c(k,n) += aᵀ @ b in the canonical blocked order: with P_j the fold of
+/// rows [64j, 64j + 64) from +0 (matmul_at_b's in-block order), c becomes
+/// ((c + P_0) + P_1) + … For m <= kFoldBlockRows and c = 0 this is
+/// bit-identical to matmul_at_b. The block adds run in the compute dtype's
+/// accumulator (float under float32 compute, like the rest of the fold).
+void matmul_at_b_blocked(const real* a, const real* b, real* c,
+                         std::int64_t m, std::int64_t k, std::int64_t n);
+
+/// c(1,n) += Σ rows of x(rows,n), rows ascending, vectorised over columns.
+/// fp64 on both compute dtypes (a gradient fold, like reduce_to's).
+void sum_rows(const real* x, real* c, std::int64_t rows, std::int64_t n);
+
+/// sum_rows in the canonical blocked order (see kFoldBlockRows); the block
+/// partials are computed concurrently on the pool, then added in order, so
+/// the result is the same for every pool size.
+void sum_rows_blocked(const real* x, real* c, std::int64_t rows,
+                      std::int64_t n);
 
 /// c(m,k) = a(m,n) @ bᵀ with b given as (k,n).
 void matmul_a_bt(const real* a, const real* b, real* c, std::int64_t m,

@@ -39,9 +39,10 @@ struct DistTrainOptions {
   /// one-hop halo rows through a HaloExchanger before each EGNN layer, with
   /// the exchange overlapped against the distance/RBF compute window.
   /// Gradients replicate exactly (ghost rows per edge in global edge order,
-  /// parameter gradients by fold continuation), so every rank's update —
-  /// and therefore the whole run — is BIT-IDENTICAL to the single-rank
-  /// unpartitioned run (the partition-parity test wall enforces this).
+  /// parameter gradients in the canonical blocked fold order), so every
+  /// rank's update — and therefore the whole run — is BIT-IDENTICAL to the
+  /// single-rank unpartitioned run (the partition-parity test wall
+  /// enforces this).
   /// In this mode per_rank_batch_size is reinterpreted as the GLOBAL batch
   /// size (all ranks fetch the same samples), optimizer state is plain
   /// per-rank Adam (no all-reduce; see docs/graph-parallelism.md for why

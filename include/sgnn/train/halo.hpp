@@ -14,11 +14,11 @@ namespace sgnn::gpar {
 
 /// One rank's halo-exchange engine for a graph-parallel training step: the
 /// GraphParallelHook the EGNN forward sources ghost rows through, and the
-/// ShardedGradReducer that carries its backward's replicated
-/// parameter-gradient folds from rank to rank (the ops supply the fold
-/// arithmetic; this class only communicates). One instance per rank per
-/// step; it must outlive the step's backward pass (its buffers belong to
-/// in-flight collectives).
+/// ShardedGradReducer that combines its backward's replicated
+/// parameter-gradient folds across ranks (the ops supply the fold
+/// arithmetic; this class communicates and adds blocks). One instance per
+/// rank per step; it must outlive the step's backward pass (its buffers
+/// belong to in-flight collectives).
 ///
 /// Every exchange is built from Communicator::iall_gather_counts with
 /// globally identical counts, so the SPMD post sequence is symmetric by
@@ -30,9 +30,11 @@ namespace sgnn::gpar {
 /// * the ghost-gradient reduction folds per-edge gradient rows into each
 ///   owner row in GLOBAL edge order (rank-ascending blocks, slice order
 ///   within a block) — the exact order the unpartitioned scatter uses;
-/// * parameter gradients are fold continuations rank to rank, each rank
-///   running the op's own kernel on the carried partial (never partial-sum
-///   reductions, which would re-bracket the floating sums).
+/// * parameter gradients follow the canonical blocked order over global
+///   rows: each rank folds its complete 64-row blocks on its own, and the
+///   ring carries the running total plus the one block that straddles a
+///   rank boundary, continued with the op's own kernel (never per-rank
+///   partial sums, which would re-bracket the floating sums).
 class HaloExchanger final : public GraphParallelHook,
                             public ShardedGradReducer {
  public:
@@ -60,13 +62,15 @@ class HaloExchanger final : public GraphParallelHook,
   ShardedGradReducer* reducer() override { return this; }
 
   // -- ShardedGradReducer ---------------------------------------------------
-  /// Rank-to-rank fold continuation: rank r waits rank r-1's partial, runs
-  /// `fold_local` on it under the `halo_ring.bwd` kernel row (priced with
-  /// the op's `flops`/`bytes`), and passes it on; the last rank's result is
-  /// replicated everywhere.
-  Tensor fold(std::int64_t rows, std::int64_t cols, std::int64_t flops,
-              std::int64_t bytes,
-              const std::function<void(real*)>& fold_local) override;
+  /// Blocked fold: rank r folds its complete blocks and its tail from +0
+  /// without waiting, then waits rank r-1's (total, open block), continues
+  /// the open block with its head rows, adds its closed blocks in ascending
+  /// order and passes the result on; the last rank's total is replicated
+  /// everywhere. Both phases run under the `halo_ring.bwd` kernel row,
+  /// priced with the op's `flops`/`bytes` by row share.
+  Tensor fold(std::int64_t local_rows, std::int64_t rows, std::int64_t cols,
+              std::int64_t flops, std::int64_t bytes,
+              const RowFold& fold_rows) override;
 
   // -- Instrumentation ------------------------------------------------------
   /// Fault-injection hook, fired after the boundary gathers are posted and
@@ -110,6 +114,10 @@ class HaloExchanger final : public GraphParallelHook,
   Tensor ghost_scatter_grad(const Tensor& grad, std::int64_t cols);
   void record_event(CollectiveKind kind, std::uint64_t bytes, double post,
                     double wait);
+  /// Global row offset of every rank's shard of a fold over `local_rows`
+  /// rows (R + 1 entries): the edge or node prefixes of the partition, told
+  /// apart by the row count, or gathered when the count cannot tell them.
+  std::vector<std::int64_t> shard_offsets(std::int64_t local_rows);
   /// Adds to the halo byte/exchange counters and obs metrics — once per
   /// LOGICAL collective, so only rank 0 of each op accounts it.
   void count_exchange(std::uint64_t bytes);
@@ -118,6 +126,9 @@ class HaloExchanger final : public GraphParallelHook,
   const int me_;
   const GraphPartition& part_;
   const RankPartition& mine_;
+  /// Some rank has as many owned nodes as local edges, so a fold's row
+  /// count does not identify its global order (see shard_offsets).
+  const bool gather_row_counts_;
 
   std::vector<int> species_;  ///< owned species, global order
   Tensor positions_;          ///< (n_own, 3) owned positions

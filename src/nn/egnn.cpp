@@ -382,9 +382,10 @@ EGNNModel::Output EGNNModel::forward_graph_parallel(
 
   // Sharded backbone. The reducer stays armed across it so every leaf
   // parameter gradient recorded here (embedding scatter, weight and bias
-  // folds inside the MLPs) is continued rank to rank instead of computed
-  // from local rows only — that is what keeps parameter gradients
-  // replicated AND bit-identical to the single-rank fold.
+  // folds inside the MLPs) is combined across ranks in the canonical
+  // blocked order instead of computed from local rows only — that is what
+  // keeps parameter gradients replicated AND bit-identical to the
+  // single-rank fold.
   Tensor h_final;
   Tensor force_acc;
   ShardedGradReducer* const reducer = hook->reducer();

@@ -215,14 +215,20 @@ void matmul(const real* a, const real* b, real* c, std::int64_t m,
   widen_from_float(fcp, c, m * n);
 }
 
-void matmul_at_b(const real* a, const real* b, real* c, std::int64_t m,
-                 std::int64_t k, std::int64_t n) {
+namespace {
+
+/// matmul_at_b's driver: shards the k rows of C across the pool (each C
+/// element is folded by one band, so the result is pool-size independent).
+void matmul_at_b_bands(const real* a, const real* b, real* c, std::int64_t m,
+                       std::int64_t k, std::int64_t n, bool blocked) {
+  if (m == 0) return;  // c += nothing; the fp32 path would round c through
+                       // its float scratch
   const KernelTable& t = active_table();
   if (active_compute_dtype() == ComputeDtype::kFloat64) {
     parallel_for(0, k, matmul_grain(m * n),
                  [=, &t](std::int64_t row_begin, std::int64_t row_end) {
                    t.matmul_at_b_band_f64(a, b, c, m, k, n, row_begin,
-                                          row_end);
+                                          row_end, blocked);
                  });
     return;
   }
@@ -238,9 +244,44 @@ void matmul_at_b(const real* a, const real* b, real* c, std::int64_t m,
   parallel_for(0, k, matmul_grain(m * n),
                [=, &t](std::int64_t row_begin, std::int64_t row_end) {
                  t.matmul_at_b_band_f32(fap, fbp, fcp, m, k, n, row_begin,
-                                        row_end);
+                                        row_end, blocked);
                });
   widen_from_float(fcp, c, k * n);
+}
+
+}  // namespace
+
+void matmul_at_b(const real* a, const real* b, real* c, std::int64_t m,
+                 std::int64_t k, std::int64_t n) {
+  matmul_at_b_bands(a, b, c, m, k, n, /*blocked=*/false);
+}
+
+void matmul_at_b_blocked(const real* a, const real* b, real* c,
+                         std::int64_t m, std::int64_t k, std::int64_t n) {
+  matmul_at_b_bands(a, b, c, m, k, n, /*blocked=*/true);
+}
+
+void sum_rows(const real* x, real* c, std::int64_t rows, std::int64_t n) {
+  const auto add_row = active_table().accumulate_f64;
+  for (std::int64_t r = 0; r < rows; ++r) add_row(x + r * n, c, n);
+}
+
+void sum_rows_blocked(const real* x, real* c, std::int64_t rows,
+                      std::int64_t n) {
+  const std::int64_t blocks = (rows + kFoldBlockRows - 1) / kFoldBlockRows;
+  std::vector<real> partials(static_cast<std::size_t>(blocks * n), real{0});
+  real* pp = partials.data();
+  parallel_for(0, blocks, parallel_grain(kFoldBlockRows * n),
+               [=](std::int64_t block_begin, std::int64_t block_end) {
+                 for (std::int64_t j = block_begin; j < block_end; ++j) {
+                   const std::int64_t r0 = j * kFoldBlockRows;
+                   const std::int64_t r1 =
+                       r0 + kFoldBlockRows < rows ? r0 + kFoldBlockRows
+                                                  : rows;
+                   sum_rows(x + r0 * n, pp + j * n, r1 - r0, n);
+                 }
+               });
+  sum_rows(pp, c, blocks, n);
 }
 
 void matmul_a_bt(const real* a, const real* b, real* c, std::int64_t m,

@@ -16,8 +16,10 @@
 // fp64). Reductions always carry a double accumulator; under C=float only
 // the inputs are rounded (documented in docs/kernels.md).
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <vector>
 
 #include "sgnn/tensor/kernels.hpp"
 
@@ -51,18 +53,35 @@ void matmul_rows_ref(const T* a, const T* b, T* c, std::int64_t k,
 /// p stays outermost so B rows stream contiguously once per band; per
 /// element the accumulation order over p matches matmul_rows_ref, and C's
 /// initial value is the first addend, so splitting m continues the fold.
+/// `blocked` selects the canonical blocked order instead: each
+/// kFoldBlockRows-row block of p is folded from +0 into a band-sized
+/// accumulator, which is then added into C (blocks ascending).
 template <typename T>
 void matmul_at_b_band_ref(const T* a, const T* b, T* c, std::int64_t m,
                           std::int64_t k, std::int64_t n,
-                          std::int64_t row_begin, std::int64_t row_end) {
-  for (std::int64_t p = 0; p < m; ++p) {
-    const T* arow = a + p * k;
-    const T* brow = b + p * n;
-    for (std::int64_t i = row_begin; i < row_end; ++i) {
-      const T av = arow[i];
-      T* crow = c + i * n;
-      for (std::int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+                          std::int64_t row_begin, std::int64_t row_end,
+                          bool blocked) {
+  const std::int64_t block = blocked ? kFoldBlockRows : m;
+  std::vector<T> acc(blocked ? static_cast<std::size_t>(
+                                   (row_end - row_begin) * n)
+                             : 0);
+  for (std::int64_t p0 = 0; p0 < m; p0 += block) {
+    const std::int64_t p1 = p0 + block < m ? p0 + block : m;
+    // Continuation folds straight into C; blocked folds into `acc` from +0.
+    T* base = blocked ? acc.data() : c + row_begin * n;
+    if (blocked) std::fill(acc.begin(), acc.end(), T{0});
+    for (std::int64_t p = p0; p < p1; ++p) {
+      const T* arow = a + p * k;
+      const T* brow = b + p * n;
+      for (std::int64_t i = row_begin; i < row_end; ++i) {
+        const T av = arow[i];
+        T* crow = base + (i - row_begin) * n;
+        for (std::int64_t j = 0; j < n; ++j) crow[j] += av * brow[j];
+      }
     }
+    if (!blocked) continue;
+    T* cband = c + row_begin * n;
+    for (std::size_t e = 0; e < acc.size(); ++e) cband[e] += acc[e];
   }
 }
 

@@ -142,17 +142,19 @@ void matmul_rows_vec(const typename TR::S* a, const typename TR::S* b,
 // C += A^T·B over a band of C rows: same packed-panel GEBP structure as
 // matmul_rows_vec (the reduction runs over m instead of k, and the
 // broadcast operands come from A columns) — bit-identical to the
-// reference kernel for the same reason. The accumulators always start from
-// C, so C's initial value is the fold's first addend.
+// reference kernel for the same reason. The accumulators start from C, so
+// C's initial value is the fold's first addend; with `blocked` they start
+// from +0 on every panel and are added into C at its end, so a panel is
+// exactly one block of the canonical blocked order.
 template <typename TR>
 void matmul_at_b_band_vec(const typename TR::S* a, const typename TR::S* b,
                           typename TR::S* c, std::int64_t m, std::int64_t k,
                           std::int64_t n, std::int64_t row_begin,
-                          std::int64_t row_end) {
+                          std::int64_t row_end, bool blocked) {
   using S = typename TR::S;
   using Vec = typename TR::Vec;
   constexpr std::int64_t jw = 2 * TR::W;
-  constexpr std::int64_t kKc = 64;  // same packed-panel shape as matmul_rows
+  constexpr std::int64_t kKc = kFoldBlockRows;  // one panel = one fold block
   const std::int64_t n_vec = n - n % jw;
   const std::int64_t tiles = n_vec / jw;
   const std::int64_t pair_end = row_begin + (row_end - row_begin) / 2 * 2;
@@ -171,10 +173,13 @@ void matmul_at_b_band_vec(const typename TR::S* a, const typename TR::S* b,
       S* crow1 = crow0 + n;
       for (std::int64_t t = 0; t < tiles; ++t) {
         const std::int64_t j0 = t * jw;
-        Vec acc00 = TR::load(crow0 + j0);
-        Vec acc01 = TR::load(crow0 + j0 + TR::W);
-        Vec acc10 = TR::load(crow1 + j0);
-        Vec acc11 = TR::load(crow1 + j0 + TR::W);
+        const auto start = [&](const S* p) {
+          return blocked ? TR::zero() : TR::load(p);
+        };
+        Vec acc00 = start(crow0 + j0);
+        Vec acc01 = start(crow0 + j0 + TR::W);
+        Vec acc10 = start(crow1 + j0);
+        Vec acc11 = start(crow1 + j0 + TR::W);
         const S* pb = packed.data() + t * kKc * jw;
         for (std::int64_t pp = 0; pp < pc; ++pp) {
           const Vec av0 = TR::set1(a[(p0 + pp) * k + i]);
@@ -186,25 +191,28 @@ void matmul_at_b_band_vec(const typename TR::S* a, const typename TR::S* b,
           acc10 = TR::vadd(acc10, TR::vmul(av1, b0));
           acc11 = TR::vadd(acc11, TR::vmul(av1, b1));
         }
-        TR::store(crow0 + j0, acc00);
-        TR::store(crow0 + j0 + TR::W, acc01);
-        TR::store(crow1 + j0, acc10);
-        TR::store(crow1 + j0 + TR::W, acc11);
+        const auto finish = [&](S* p, Vec acc) {
+          TR::store(p, blocked ? TR::vadd(TR::load(p), acc) : acc);
+        };
+        finish(crow0 + j0, acc00);
+        finish(crow0 + j0 + TR::W, acc01);
+        finish(crow1 + j0, acc10);
+        finish(crow1 + j0 + TR::W, acc11);
       }
       for (std::int64_t j = n_vec; j < n; ++j) {
-        S s0 = crow0[j];
-        S s1 = crow1[j];
+        S s0 = blocked ? S{0} : crow0[j];
+        S s1 = blocked ? S{0} : crow1[j];
         for (std::int64_t pp = 0; pp < pc; ++pp) {
           s0 += a[(p0 + pp) * k + i] * b[(p0 + pp) * n + j];
           s1 += a[(p0 + pp) * k + i + 1] * b[(p0 + pp) * n + j];
         }
-        crow0[j] = s0;
-        crow1[j] = s1;
+        crow0[j] = blocked ? crow0[j] + s0 : s0;
+        crow1[j] = blocked ? crow1[j] + s1 : s1;
       }
     }
   }
   if (pair_end < row_end) {
-    matmul_at_b_band_ref<S>(a, b, c, m, k, n, pair_end, row_end);
+    matmul_at_b_band_ref<S>(a, b, c, m, k, n, pair_end, row_end, blocked);
   }
 }
 

@@ -89,30 +89,9 @@ void binary_broadcast(const Tensor& a, const Tensor& b, Tensor& out, F f) {
   });
 }
 
-/// Adds `grad` (shaped like the broadcast output) into `out`, laid out as
-/// `target`, serially in `grad`'s row-major order — reduce_to's fold, split
-/// out so a ShardedGradReducer can continue it. Opens no KernelScope: the
-/// caller prices it.
-inline void reduce_into(const Tensor& grad, const Shape& target, real* out) {
-  const auto st = broadcast_strides(target, grad.shape());
-  const auto sg = grad.shape().strides();
-  const std::size_t rank = grad.rank();
-  const real* pg = grad.data();
-  const std::int64_t n = grad.numel();
-  for (std::int64_t i = 0; i < n; ++i) {
-    std::int64_t rem = i;
-    std::int64_t ot = 0;
-    for (std::size_t axis = 0; axis < rank; ++axis) {
-      const std::int64_t coord = rem / sg[axis];
-      rem -= coord * sg[axis];
-      ot += coord * st[axis];
-    }
-    out[ot] += pg[i];
-  }
-}
-
 /// Sum-reduces `grad` (shaped like the broadcast output) back to `target`,
-/// the pre-broadcast input shape. Used by the backward of broadcasting ops.
+/// the pre-broadcast input shape, serially in `grad`'s row-major order. Used
+/// by the backward of broadcasting ops.
 inline Tensor reduce_to(const Tensor& grad, const Shape& target) {
   if (grad.shape() == target) return grad;
   SGNN_CHECK(Shape::broadcastable_to(target, grad.shape()),
@@ -123,7 +102,22 @@ inline Tensor reduce_to(const Tensor& grad, const Shape& target) {
       obs::prof::sat_mul(static_cast<std::int64_t>(sizeof(real)),
                          obs::prof::sat_add(grad.numel(), target.numel())));
   Tensor out = Tensor::zeros(target);
-  reduce_into(grad, target, out.data());
+  const auto st = broadcast_strides(target, grad.shape());
+  const auto sg = grad.shape().strides();
+  const std::size_t rank = grad.rank();
+  const real* pg = grad.data();
+  real* po = out.data();
+  const std::int64_t n = grad.numel();
+  for (std::int64_t i = 0; i < n; ++i) {
+    std::int64_t rem = i;
+    std::int64_t ot = 0;
+    for (std::size_t axis = 0; axis < rank; ++axis) {
+      const std::int64_t coord = rem / sg[axis];
+      rem -= coord * sg[axis];
+      ot += coord * st[axis];
+    }
+    po[ot] += pg[i];
+  }
   return out;
 }
 

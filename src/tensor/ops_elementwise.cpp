@@ -14,7 +14,6 @@ using kernels::UnaryOp;
 using obs::prof::sat_mul;
 using ops_detail::binary_broadcast;
 using ops_detail::kElementwiseGrain;
-using ops_detail::reduce_into;
 using ops_detail::reduce_to;
 
 namespace {
@@ -60,7 +59,9 @@ void binary_forward(BinaryOp op, const Tensor& ad, const Tensor& bd,
 /// Builds a broadcasting binary op. The same-shape backward dispatches
 /// through the kernel backend; broadcasting backwards evaluate the strided
 /// fp64 loop with `bwd_a`/`bwd_b` (d(out)/d(input) at one element) and then
-/// sum-reduce to each input's shape.
+/// sum-reduce to each input's shape. An input that does not require grad
+/// gets no gradient: the strided loop skips it and so does its reduce_to
+/// (the same-shape kernel writes both in one pass, so it still runs whole).
 template <typename BackwardA, typename BackwardB>
 Tensor binary_op(const Tensor& a, const Tensor& b, const char* name,
                  BinaryOp op, BackwardA bwd_a, BackwardB bwd_b) {
@@ -69,20 +70,25 @@ Tensor binary_op(const Tensor& a, const Tensor& b, const char* name,
   const Tensor bd = b.detach();
   const Shape a_shape = a.shape();
   const Shape b_shape = b.shape();
+  const bool need_a = a.requires_grad();
+  const bool need_b = b.requires_grad();
   Tensor out = Tensor::make_result(
       out_shape, {a, b},
       [=](const Tensor& grad) -> std::vector<Tensor> {
         // Gradient in the broadcast shape, then reduced to each input.
-        Tensor ga = Tensor::zeros(grad.shape());
-        Tensor gb = Tensor::zeros(grad.shape());
+        const bool same = a_shape == grad.shape() && b_shape == grad.shape();
+        Tensor ga = same || need_a ? Tensor::zeros(grad.shape()) : Tensor();
+        Tensor gb = same || need_b ? Tensor::zeros(grad.shape()) : Tensor();
         {
           // Evaluate d(out)/d(a) * grad and d(out)/d(b) * grad pointwise.
-          const obs::prof::KernelScope prof(
-              name, sat_mul(4, grad.numel()),
-              sat_mul(5 * kernels::compute_element_size(), grad.numel()),
-              ".bwd");
+          const std::int64_t outputs =
+              same ? 2 : static_cast<std::int64_t>(need_a) + need_b;
           const std::int64_t n = grad.numel();
-          if (a_shape == grad.shape() && b_shape == grad.shape()) {
+          const obs::prof::KernelScope prof(
+              name, sat_mul(2 * outputs, n),
+              sat_mul((3 + outputs) * kernels::compute_element_size(), n),
+              ".bwd");
+          if (same) {
             kernels::binary_backward(op, ad.data(), bd.data(), grad.data(),
                                      ga.data(), gb.data(), n);
           } else {
@@ -95,8 +101,8 @@ Tensor binary_op(const Tensor& a, const Tensor& b, const char* name,
             const real* pa = ad.data();
             const real* pb = bd.data();
             const real* pg = grad.data();
-            real* pga = ga.data();
-            real* pgb = gb.data();
+            real* pga = need_a ? ga.data() : nullptr;
+            real* pgb = need_b ? gb.data() : nullptr;
             parallel_for(
                 0, n, kElementwiseGrain,
                 [&, pa, pb, pg, pga, pgb](std::int64_t begin,
@@ -111,13 +117,14 @@ Tensor binary_op(const Tensor& a, const Tensor& b, const char* name,
                       oa += coord * sa[axis];
                       ob += coord * sb[axis];
                     }
-                    pga[i] = bwd_a(pa[oa], pb[ob]) * pg[i];
-                    pgb[i] = bwd_b(pa[oa], pb[ob]) * pg[i];
+                    if (pga != nullptr) pga[i] = bwd_a(pa[oa], pb[ob]) * pg[i];
+                    if (pgb != nullptr) pgb[i] = bwd_b(pa[oa], pb[ob]) * pg[i];
                   }
                 });
           }
         }
-        return {reduce_to(ga, a_shape), reduce_to(gb, b_shape)};
+        return {need_a ? reduce_to(ga, a_shape) : Tensor(),
+                need_b ? reduce_to(gb, b_shape) : Tensor()};
       },
       name);
   {
@@ -163,31 +170,50 @@ Tensor add(const Tensor& a, const Tensor& b) {
   SGNN_CHECK(a.defined() && b.defined(), "add requires defined inputs");
   const Shape a_shape = a.shape();
   const Shape b_shape = b.shape();
-  // Bias pattern: a (1, n) leaf parameter broadcast over row-sharded
-  // activations. Its gradient is a column sum over the global rows, which a
-  // graph-parallel run continues rank to rank (see grad_reducer.hpp). The
-  // condition depends only on the leaf's own shape so all ranks agree.
-  const auto bias_like = [](const Tensor& t) {
-    return t.is_leaf() && t.requires_grad() && t.rank() == 2 && t.dim(0) == 1;
+  const Shape out_shape = Shape::broadcast(a_shape, b_shape);
+  // Bias pattern: a (1, n) leaf parameter broadcast over (rows, n)
+  // activations. Its gradient is a column sum over the rows, folded in the
+  // canonical blocked order; a graph-parallel run (rows sharded across
+  // ranks) hands the fold to the armed reducer, which combines the ranks'
+  // blocks in global row order (see grad_reducer.hpp). The condition depends
+  // only on the leaf and the column count, so all ranks agree.
+  const auto bias_like = [&](const Tensor& t) {
+    return t.is_leaf() && t.requires_grad() && t.rank() == 2 &&
+           t.dim(0) == 1 && out_shape.rank() == 2 &&
+           out_shape.dim(1) == t.dim(1);
   };
+  const bool bias_a = bias_like(a);
+  const bool bias_b = bias_like(b);
   ShardedGradReducer* reducer =
-      (bias_like(a) || bias_like(b)) ? current_sharded_grad_reducer()
-                                     : nullptr;
-  const bool ring_a = reducer != nullptr && bias_like(a);
-  const bool ring_b = reducer != nullptr && bias_like(b);
+      bias_a || bias_b ? current_sharded_grad_reducer() : nullptr;
+  const bool need_a = a.requires_grad();
+  const bool need_b = b.requires_grad();
   Tensor out = Tensor::make_result(
-      Shape::broadcast(a_shape, b_shape), {a, b},
+      out_shape, {a, b},
       [=](const Tensor& grad) -> std::vector<Tensor> {
-        // The reducer continues reduce_to's own fold, priced like it.
-        const auto ring = [&](const Shape& bias) {
-          return reducer->fold(
-              bias.dim(0), bias.dim(1), grad.numel(),
+        const auto grad_for = [&](bool need, bool bias, const Shape& shape) {
+          if (!need) return Tensor();
+          if (!bias) return reduce_to(grad, shape);
+          const std::int64_t rows = grad.dim(0);
+          const std::int64_t cols = grad.dim(1);
+          const std::int64_t bytes =
               sat_mul(static_cast<std::int64_t>(sizeof(real)),
-                      obs::prof::sat_add(grad.numel(), bias.numel())),
-              [&](real* c) { reduce_into(grad, bias, c); });
+                      obs::prof::sat_add(grad.numel(), cols));
+          if (reducer != nullptr) {
+            return reducer->fold(
+                rows, 1, cols, grad.numel(), bytes,
+                [&](std::int64_t begin, std::int64_t end, real* c) {
+                  kernels::sum_rows(grad.data() + begin * cols, c,
+                                    end - begin, cols);
+                });
+          }
+          const obs::prof::KernelScope prof("reduce_to", grad.numel(), bytes);
+          Tensor sum = Tensor::zeros(shape);
+          kernels::sum_rows_blocked(grad.data(), sum.data(), rows, cols);
+          return sum;
         };
-        return {ring_a ? ring(a_shape) : reduce_to(grad, a_shape),
-                ring_b ? ring(b_shape) : reduce_to(grad, b_shape)};
+        return {grad_for(need_a, bias_a, a_shape),
+                grad_for(need_b, bias_b, b_shape)};
       },
       "add");
   {
@@ -203,9 +229,12 @@ Tensor sub(const Tensor& a, const Tensor& b) {
   SGNN_CHECK(a.defined() && b.defined(), "sub requires defined inputs");
   const Shape a_shape = a.shape();
   const Shape b_shape = b.shape();
+  const bool need_a = a.requires_grad();
+  const bool need_b = b.requires_grad();
   Tensor out = Tensor::make_result(
       Shape::broadcast(a_shape, b_shape), {a, b},
       [=](const Tensor& grad) -> std::vector<Tensor> {
+        if (!need_b) return {reduce_to(grad, a_shape), Tensor()};
         Tensor gneg = Tensor::zeros(grad.shape());
         const std::int64_t n = grad.numel();
         {
@@ -214,7 +243,8 @@ Tensor sub(const Tensor& a, const Tensor& b) {
               ".bwd");
           kernels::unary(UnaryOp::kNeg, grad.data(), gneg.data(), 0, n);
         }
-        return {reduce_to(grad, a_shape), reduce_to(gneg, b_shape)};
+        return {need_a ? reduce_to(grad, a_shape) : Tensor(),
+                reduce_to(gneg, b_shape)};
       },
       "sub");
   {

@@ -20,10 +20,11 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
   const Tensor ad = a.detach();
   const Tensor bd = b.detach();
   // x @ W with W a replicated leaf parameter and x row-sharded across ranks:
-  // dW folds over x's rows, so a graph-parallel run must continue that fold
-  // rank to rank instead of computing it locally. The armed reducer is
-  // captured at record time; the condition (leaf rhs) is a property of the
-  // model, not of this rank's row count, so every rank records it alike.
+  // dW folds over x's rows in the canonical blocked order, so a
+  // graph-parallel run hands that fold to the reducer, which combines the
+  // ranks' blocks in global order. The armed reducer is captured at record
+  // time; the condition (leaf rhs) is a property of the model, not of this
+  // rank's row count, so every rank records it alike.
   ShardedGradReducer* reducer =
       (b.is_leaf() && b.requires_grad()) ? current_sharded_grad_reducer()
                                          : nullptr;
@@ -49,16 +50,19 @@ Tensor matmul(const Tensor& a, const Tensor& b) {
           kernels::matmul_a_bt(grad.data(), bd.data(), ga.data(), m, n, k);
           if (reducer == nullptr) {
             gb = Tensor::zeros(Shape{k, n});
-            kernels::matmul_at_b(ad.data(), grad.data(), gb.data(), m, k, n);
+            kernels::matmul_at_b_blocked(ad.data(), grad.data(), gb.data(), m,
+                                         k, n);
           }
         }
         if (reducer != nullptr) {
           gb = reducer->fold(
-              k, n, sat_mul(2, m, k, n),
+              m, k, n, sat_mul(2, m, k, n),
               sat_mul(static_cast<std::int64_t>(sizeof(real)),
                       sat_add(sat_mul(m, k), sat_mul(m, n), sat_mul(k, n))),
-              [&](real* c) {
-                kernels::matmul_at_b(ad.data(), grad.data(), c, m, k, n);
+              [&](std::int64_t begin, std::int64_t end, real* c) {
+                kernels::matmul_at_b(ad.data() + begin * k,
+                                     grad.data() + begin * n, c, end - begin,
+                                     k, n);
               });
         }
         return {ga, gb};

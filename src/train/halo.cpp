@@ -4,6 +4,7 @@
 
 #include "sgnn/obs/metrics.hpp"
 #include "sgnn/obs/prof.hpp"
+#include "sgnn/tensor/kernels.hpp"
 #include "sgnn/tensor/memory_tracker.hpp"
 #include "sgnn/util/error.hpp"
 
@@ -15,7 +16,12 @@ HaloExchanger::HaloExchanger(Communicator& comm, int rank,
     : comm_(comm),
       me_(rank),
       part_(partition),
-      mine_(partition.ranks.at(static_cast<std::size_t>(rank))) {
+      mine_(partition.ranks.at(static_cast<std::size_t>(rank))),
+      gather_row_counts_(std::any_of(
+          partition.ranks.begin(), partition.ranks.end(),
+          [](const RankPartition& r) {
+            return r.num_owned() == r.num_local_edges();
+          })) {
   SGNN_CHECK(comm.num_ranks() == partition.num_ranks,
              "partition built for " << partition.num_ranks
                                     << " ranks, communicator has "
@@ -336,70 +342,169 @@ Tensor HaloExchanger::all_gather_rows(const Tensor& owned) {
   return out;
 }
 
-Tensor HaloExchanger::fold(std::int64_t rows, std::int64_t cols,
-                           std::int64_t flops, std::int64_t bytes,
-                           const std::function<void(real*)>& fold_local) {
+std::vector<std::int64_t> HaloExchanger::shard_offsets(
+    std::int64_t local_rows) {
+  const int num_ranks = part_.num_ranks;
+  const auto ranks = static_cast<std::size_t>(num_ranks);
+  std::vector<std::int64_t> offsets(ranks + 1, 0);
+  if (num_ranks == 1) {
+    offsets[1] = local_rows;
+    return offsets;
+  }
+  if (gather_row_counts_) {
+    // Some rank's edge and node counts are equal, so its row count does not
+    // say which global order a fold runs over: gather the counts instead.
+    // The condition is a property of the partition, so every rank posts
+    // this alike.
+    const std::vector<real> piece = {static_cast<real>(local_rows)};
+    const std::vector<std::size_t> counts(ranks, 1);
+    std::vector<real> gathered(ranks);
+    comm_.iall_gather_counts(me_, piece, counts, gathered).wait();
+    count_exchange(ranks * sizeof(real));
+    for (std::size_t r = 0; r < ranks; ++r) {
+      offsets[r + 1] = offsets[r] + static_cast<std::int64_t>(gathered[r]);
+    }
+    return offsets;
+  }
+  const bool edges = local_rows == mine_.num_local_edges();
+  SGNN_CHECK(edges || local_rows == mine_.num_owned(),
+             "graph-parallel fold over " << local_rows
+                                         << " rows: neither this rank's "
+                                         << mine_.num_local_edges()
+                                         << " edges nor its "
+                                         << mine_.num_owned() << " nodes");
+  for (std::size_t r = 0; r < ranks; ++r) {
+    const RankPartition& rp = part_.ranks[r];
+    offsets[r] = edges ? rp.edge_begin : rp.owned_begin;
+  }
+  offsets[ranks] = edges ? part_.num_edges : part_.num_nodes;
+  return offsets;
+}
+
+Tensor HaloExchanger::fold(std::int64_t local_rows, std::int64_t rows,
+                           std::int64_t cols, std::int64_t flops,
+                           std::int64_t bytes, const RowFold& fold_rows) {
   const obs::prof::ProfRegion region("halo");
-  // The op's own kernel, priced as a leaf: it opens no scope of its own.
-  const auto fold_own = [&](real* c) {
-    const obs::prof::KernelScope prof("halo_ring", flops, bytes, ".bwd");
-    fold_local(c);
-  };
+  // The block adds below run in fp64; under float32 compute matmul's
+  // blocked order adds in float, so only fp64 reproduces the local bits.
+  SGNN_CHECK(kernels::active_compute_dtype() ==
+                 kernels::ComputeDtype::kFloat64,
+             "graph-parallel gradient folds require float64 compute");
+  constexpr std::int64_t kBlock = kernels::kFoldBlockRows;
   const std::size_t size =
       static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols);
   Tensor out = Tensor::zeros(Shape{rows, cols});
+  if (size == 0) return out;
   const int num_ranks = part_.num_ranks;
-  if (num_ranks == 1 || size == 0) {
-    fold_own(out.data());
-    return out;
+  const std::vector<std::int64_t> offsets = shard_offsets(local_rows);
+  const std::int64_t g0 = offsets[static_cast<std::size_t>(me_)];
+
+  // The shard split at global block boundaries: `head` rows continue the
+  // block a lower rank left open (closing it when the shard reaches its
+  // end), then `whole` complete blocks, then a tail that opens a block.
+  const std::int64_t to_boundary = (kBlock - g0 % kBlock) % kBlock;
+  const std::int64_t head = std::min(local_rows, to_boundary);
+  const bool closes = to_boundary > 0 && local_rows >= to_boundary;
+  const std::int64_t whole = (local_rows - head) / kBlock;
+  const std::int64_t tail = head + whole * kBlock;
+  // Prices the op's kernel over `share` of the shard's rows.
+  const auto priced = [&](std::int64_t share, const auto& work) {
+    const auto part = [&](std::int64_t cost) {
+      return local_rows > 0 ? obs::prof::sat_mul(cost, share) / local_rows
+                            : 0;
+    };
+    const obs::prof::KernelScope prof("halo_ring", part(flops), part(bytes),
+                                      ".bwd");
+    work();
+  };
+  const auto add_into = [size](real* dst, const real* src) {
+    for (std::size_t e = 0; e < size; ++e) dst[e] += src[e];
+  };
+
+  // Op i of the ring carries rank i's running total over global rows
+  // [0, offsets[i+1]) — every block closed so far, added in ascending order
+  // — plus, when that boundary falls inside a block, the open block's
+  // partial. Every rank posts empty pieces for the other ops, the lower
+  // ones before its own work, so op i completes as soon as rank i posts:
+  // the chain is deadlock-free by induction.
+  const auto carries = [&](int i) {
+    return i + 1 < num_ranks &&
+           offsets[static_cast<std::size_t>(i) + 1] % kBlock != 0;
+  };
+  const auto ranks = static_cast<std::size_t>(num_ranks);
+  std::vector<CollectiveHandle> handles(ranks);
+  std::vector<std::vector<real>> gathered(ranks);
+  const std::vector<real> empty;
+  std::uint64_t ring_bytes = 0;
+  const auto post = [&](int i, const std::vector<real>& piece) {
+    const auto ii = static_cast<std::size_t>(i);
+    std::vector<std::size_t> counts(ranks, 0);
+    counts[ii] = size * (carries(i) ? 2 : 1);
+    ring_bytes += counts[ii] * sizeof(real);
+    gathered[ii].resize(counts[ii]);
+    handles[ii] = comm_.iall_gather_counts(me_, piece, counts, gathered[ii]);
+  };
+  const double post_seconds = clock_.seconds();
+  for (int i = 0; i < me_; ++i) post(i, empty);
+
+  // Phase 1, before any wait: this rank's complete blocks and its tail,
+  // each folded from +0.
+  std::vector<real> partials(static_cast<std::size_t>(whole + 1) * size);
+  const auto partial = [&](std::int64_t j) {
+    return partials.data() + static_cast<std::size_t>(j) * size;
+  };
+  if (head < local_rows) {
+    priced(local_rows - head, [&] {
+      for (std::int64_t j = 0; j < whole; ++j) {
+        fold_rows(head + j * kBlock, head + (j + 1) * kBlock, partial(j));
+      }
+      if (tail < local_rows) fold_rows(tail, local_rows, partial(whole));
+    });
   }
 
-  // Fold continuation around the ring: op i carries rank i's partial (the
-  // fold of ranks 0..i over the zero initial value). Rank r waits op r-1,
-  // continues the fold with ITS rows (the op's single-rank kernel, run on
-  // the carried partial), posts op r, and everyone reads op R-1 — the full
-  // gradient with single-rank bracketing, replicated. Empty pieces for the
-  // other ops are posted eagerly, so op i is fully posted as soon as rank i
-  // finishes its fold: the chain is deadlock-free by induction.
-  const double post = clock_.seconds();
-  std::vector<CollectiveHandle> handles(static_cast<std::size_t>(num_ranks));
-  std::vector<std::vector<real>> gathered(
-      static_cast<std::size_t>(num_ranks));
-  const std::vector<real> empty;
-  std::vector<real> full;
-  for (int i = 0; i < num_ranks; ++i) {
-    const auto ii = static_cast<std::size_t>(i);
-    std::vector<std::size_t> counts(static_cast<std::size_t>(num_ranks), 0);
-    counts[ii] = size;
-    gathered[ii].resize(size);
-    if (i == me_) {
-      if (me_ > 0) {
-        handles[ii - 1].wait();
-        std::copy(gathered[ii - 1].begin(), gathered[ii - 1].end(),
-                  out.data());
-      }
-      fold_own(out.data());
-      full.assign(out.data(), out.data() + size);
-      handles[ii] = comm_.iall_gather_counts(me_, full, counts, gathered[ii]);
-    } else {
-      handles[ii] = comm_.iall_gather_counts(me_, empty, counts,
-                                             gathered[ii]);
+  // Phase 2, the hop: continue the incoming open block with the head rows,
+  // add the closed blocks in ascending order, and pass the result on.
+  real* total = out.data();
+  std::vector<real> open(size, real{0});
+  if (me_ > 0) {
+    const auto prev = static_cast<std::size_t>(me_ - 1);
+    handles[prev].wait();
+    std::copy_n(gathered[prev].begin(), size, total);
+    if (carries(me_ - 1)) {
+      std::copy_n(gathered[prev].begin() + static_cast<std::ptrdiff_t>(size),
+                  size, open.begin());
     }
   }
-  const auto last = static_cast<std::size_t>(num_ranks - 1);
+  priced(head, [&] {
+    if (head > 0) fold_rows(0, head, open.data());
+    if (closes) {
+      add_into(total, open.data());
+      std::fill(open.begin(), open.end(), real{0});
+    }
+    for (std::int64_t j = 0; j < whole; ++j) add_into(total, partial(j));
+    if (tail < local_rows) std::copy_n(partial(whole), size, open.begin());
+    // The last block of all rows may be partial: it closes at the end.
+    if (me_ == num_ranks - 1 && offsets[ranks] % kBlock != 0) {
+      add_into(total, open.data());
+    }
+  });
+  if (num_ranks == 1) return out;
+
+  std::vector<real> piece(total, total + size);
+  if (carries(me_)) piece.insert(piece.end(), open.begin(), open.end());
+  post(me_, piece);
+  for (int i = me_ + 1; i < num_ranks; ++i) post(i, empty);
+  const std::size_t last = ranks - 1;
   handles[last].wait();
-  std::copy(gathered[last].begin(), gathered[last].end(), out.data());
+  std::copy_n(gathered[last].begin(), size, total);
   // Earlier ops executed before the last one (the engine matches posts in
   // order); these waits only release their buffers.
   for (std::size_t i = 0; i < last; ++i) handles[i].wait();
-  // One summarized event per ring: R serialized hops of `size` reals. The
-  // chain is inherently mostly exposed — only the aggregate split is
-  // interesting, not per-hop stamps.
-  record_event(CollectiveKind::kAllGather,
-               static_cast<std::uint64_t>(num_ranks) * size * sizeof(real),
-               post, clock_.seconds());
-  count_exchange(static_cast<std::uint64_t>(num_ranks) * size *
-                 sizeof(real));
+  // One summarized event per ring: the chain is mostly exposed, so only
+  // the aggregate split is interesting, not per-hop stamps.
+  record_event(CollectiveKind::kAllGather, ring_bytes, post_seconds,
+               clock_.seconds());
+  count_exchange(ring_bytes);
   return out;
 }
 

@@ -7,15 +7,19 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <cstring>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "sgnn/obs/prof.hpp"
 #include "sgnn/tensor/ops.hpp"
 #include "sgnn/tensor/tensor.hpp"
 #include "sgnn/util/rng.hpp"
+#include "sgnn/util/thread_pool.hpp"
 
 namespace sgnn {
 namespace {
@@ -158,7 +162,7 @@ TEST(KernelIeee, TransposedVariantsPropagateNonFinites) {
 // -- fold continuation --------------------------------------------------------
 //
 // matmul_at_b accumulates into C, which is what lets a graph-parallel run
-// continue a weight-gradient fold from rank to rank.
+// continue the weight-gradient fold block that straddles a rank boundary.
 
 TEST(KernelContinuation, MatmulAtBSplitOverRowsIsBitIdentical) {
   // m spans three 64-row panels, k is odd (the row-pair remainder), and n
@@ -188,6 +192,181 @@ TEST(KernelContinuation, MatmulAtBSplitOverRowsIsBitIdentical) {
       }
     }
   }
+}
+
+// -- canonical blocked order --------------------------------------------------
+//
+// The parameter-gradient folds sum kFoldBlockRows-row blocks, each folded
+// from +0, in ascending block order; that is what lets graph-parallel ranks
+// fold their whole blocks concurrently. These tests pin the definition
+// against an explicit per-block reference on every backend, compute dtype
+// and pool size.
+
+/// Runs `body` with the intra-op pool resized to `threads`.
+template <typename Fn>
+void with_pool_size(int threads, Fn body) {
+  ThreadPool& pool = ThreadPool::instance();
+  const int previous = pool.size();
+  pool.resize(threads);
+  body();
+  pool.resize(previous);
+}
+
+/// Sweeps backends x compute dtypes x pool sizes {1, 4}; `body` gets a
+/// label for failure messages.
+template <typename Fn>
+void for_each_kernel_config(Fn body) {
+  for (const auto dtype :
+       {kernels::ComputeDtype::kFloat64, kernels::ComputeDtype::kFloat32}) {
+    const kernels::ScopedComputeDtype dtype_scope(dtype);
+    for (const auto backend : available_backends()) {
+      const kernels::ScopedBackend scope(backend);
+      for (const int threads : {1, 4}) {
+        with_pool_size(threads, [&] {
+          body(std::string(kernels::backend_name(backend)) + "/" +
+               kernels::dtype_name(dtype) + "/pool" +
+               std::to_string(threads));
+        });
+      }
+    }
+  }
+}
+
+/// c + P_0 + P_1 + …, P_j = matmul_at_b of rows [64j, 64j + 64) into a
+/// zeroed buffer. The block adds run in the compute dtype's accumulator:
+/// float under float32 compute, like the rest of matmul_at_b's fold.
+std::vector<real> blocked_at_b_reference(const std::vector<real>& a,
+                                         const std::vector<real>& b,
+                                         std::vector<real> c, std::int64_t m,
+                                         std::int64_t k, std::int64_t n) {
+  const bool fp32 =
+      kernels::active_compute_dtype() == kernels::ComputeDtype::kFloat32;
+  for (std::int64_t r0 = 0; r0 < m; r0 += kernels::kFoldBlockRows) {
+    const std::int64_t rows = std::min(m - r0, kernels::kFoldBlockRows);
+    std::vector<real> partial(static_cast<std::size_t>(k * n), 0.0);
+    kernels::matmul_at_b(a.data() + r0 * k, b.data() + r0 * n, partial.data(),
+                         rows, k, n);
+    for (std::size_t e = 0; e < c.size(); ++e) {
+      c[e] = fp32 ? static_cast<real>(static_cast<float>(c[e]) +
+                                      static_cast<float>(partial[e]))
+                  : c[e] + partial[e];
+    }
+  }
+  return c;
+}
+
+/// c + P_0 + P_1 + …, P_j = the column sums of rows [64j, 64j + 64) from
+/// +0, rows ascending (reduce_to's order for a (1, n) target), in fp64.
+std::vector<real> blocked_rows_reference(const std::vector<real>& x,
+                                         std::vector<real> c,
+                                         std::int64_t rows, std::int64_t n) {
+  for (std::int64_t r0 = 0; r0 < rows; r0 += kernels::kFoldBlockRows) {
+    const std::int64_t r1 = std::min(rows, r0 + kernels::kFoldBlockRows);
+    std::vector<real> partial(static_cast<std::size_t>(n), 0.0);
+    for (std::int64_t r = r0; r < r1; ++r) {
+      for (std::int64_t j = 0; j < n; ++j) {
+        partial[static_cast<std::size_t>(j)] +=
+            x[static_cast<std::size_t>(r * n + j)];
+      }
+    }
+    for (std::size_t j = 0; j < c.size(); ++j) c[j] += partial[j];
+  }
+  return c;
+}
+
+/// Bitwise equality that also treats NaN == NaN (EXPECT_EQ on doubles
+/// would fail on any NaN).
+bool same_bits(real x, real y) {
+  return std::memcmp(&x, &y, sizeof(real)) == 0;
+}
+
+TEST(KernelBlockedOrder, MatmulAtBMatchesPerBlockReference) {
+  // k is odd (row-pair remainder) and spans several 16-row pool chunks; n
+  // leaves a scalar tail at every vector width.
+  const std::int64_t k = 71, n = 37;
+  for (const std::int64_t m : {0, 1, 63, 64, 65, 200}) {
+    const auto a = random_vector(m * k, 444 + static_cast<std::uint64_t>(m));
+    const auto b = random_vector(m * n, 555 + static_cast<std::uint64_t>(m));
+    const auto c0 = random_vector(k * n, 666);  // nonzero initial C
+    for_each_kernel_config([&](const std::string& config) {
+      const auto expected = blocked_at_b_reference(a, b, c0, m, k, n);
+      std::vector<real> got = c0;
+      kernels::matmul_at_b_blocked(a.data(), b.data(), got.data(), m, k, n);
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        ASSERT_TRUE(same_bits(got[i], expected[i]))
+            << config << " m=" << m << " element " << i << ": " << got[i]
+            << " vs " << expected[i];
+      }
+      if (m <= kernels::kFoldBlockRows) {
+        // One block from a zero C is exactly the plain fold.
+        std::vector<real> blocked(static_cast<std::size_t>(k * n), 0.0);
+        std::vector<real> plain = blocked;
+        kernels::matmul_at_b_blocked(a.data(), b.data(), blocked.data(), m,
+                                     k, n);
+        kernels::matmul_at_b(a.data(), b.data(), plain.data(), m, k, n);
+        ASSERT_EQ(blocked, plain) << config << " m=" << m;
+      }
+    });
+  }
+}
+
+TEST(KernelBlockedOrder, BiasRowSumMatchesPerBlockReference) {
+  // 2000 rows span several pool chunks of blocks; the row sum is fp64 on
+  // both compute dtypes.
+  const std::int64_t n = 37;
+  for (const std::int64_t rows : {0, 1, 63, 64, 65, 200, 2000}) {
+    const auto x =
+        random_vector(rows * n, 777 + static_cast<std::uint64_t>(rows));
+    const auto c0 = random_vector(n, 888);
+    const auto expected = blocked_rows_reference(x, c0, rows, n);
+    for_each_kernel_config([&](const std::string& config) {
+      std::vector<real> got = c0;
+      kernels::sum_rows_blocked(x.data(), got.data(), rows, n);
+      ASSERT_EQ(got, expected) << config << " rows=" << rows;
+      if (rows <= kernels::kFoldBlockRows) {
+        // One block from a zero accumulator is exactly the plain row sum.
+        std::vector<real> blocked(static_cast<std::size_t>(n), 0.0);
+        std::vector<real> plain = blocked;
+        kernels::sum_rows_blocked(x.data(), blocked.data(), rows, n);
+        kernels::sum_rows(x.data(), plain.data(), rows, n);
+        ASSERT_EQ(blocked, plain) << config << " rows=" << rows;
+      }
+    });
+  }
+}
+
+TEST(KernelBlockedOrder, NonFinitesPropagateAcrossBlocks) {
+  // 0 x Inf in the second block of a 130-row fold must surface as NaN in
+  // the sum, and an unmasked Inf in the first block must survive the
+  // blocks after it — on every backend and dtype.
+  const std::int64_t m = 130;
+  std::vector<real> a(static_cast<std::size_t>(m), 1.0);
+  std::vector<real> b(static_cast<std::size_t>(m), 0.5);
+  a[70] = 0.0;
+  b[70] = kInf;
+  std::vector<real> a_inf(static_cast<std::size_t>(m), 1.0);
+  std::vector<real> b_inf = b;
+  b_inf[70] = 0.5;
+  b_inf[3] = kInf;
+  for_each_kernel_config([&](const std::string& config) {
+    real nan_sum = 0;
+    kernels::matmul_at_b_blocked(a.data(), b.data(), &nan_sum, m, 1, 1);
+    EXPECT_TRUE(std::isnan(nan_sum)) << config << ": " << nan_sum;
+    real inf_sum = 0;
+    kernels::matmul_at_b_blocked(a_inf.data(), b_inf.data(), &inf_sum, m, 1,
+                                 1);
+    EXPECT_TRUE(std::isinf(inf_sum) && inf_sum > 0)
+        << config << ": " << inf_sum;
+    // The row sum: NaN in block 1 of column 0, Inf in block 0 of column 1.
+    std::vector<real> x(static_cast<std::size_t>(m * 2), 0.25);
+    x[70 * 2] = kNaN;
+    x[3 * 2 + 1] = kInf;
+    std::vector<real> sums(2, 0.0);
+    kernels::sum_rows_blocked(x.data(), sums.data(), m, 2);
+    EXPECT_TRUE(std::isnan(sums[0])) << config << ": " << sums[0];
+    EXPECT_TRUE(std::isinf(sums[1]) && sums[1] > 0)
+        << config << ": " << sums[1];
+  });
 }
 
 // -- scalar <-> SIMD agreement ----------------------------------------------

@@ -4,7 +4,9 @@
 
 #include <cmath>
 
+#include "sgnn/obs/prof.hpp"
 #include "sgnn/util/error.hpp"
+#include "sgnn/util/rng.hpp"
 
 namespace sgnn {
 namespace {
@@ -180,6 +182,39 @@ TEST(OpsTest, RowNormSquared) {
   const Tensor n = row_norm_squared(a);
   EXPECT_EQ(n.shape(), Shape({2, 1}));
   EXPECT_EQ(n.to_vector(), (std::vector<real>{25, 25}));
+}
+
+TEST(OpsTest, BroadcastMulSkipsGradientOfConstantOperand) {
+  // x (N, 64) * c (N, 1) with a constant c — the `aggregated * inv_degree`
+  // pattern of every EGNN layer. x's gradient must not change, and c's
+  // gradient, (N, 64) -> (N, 1) reduce included, must not be computed.
+  Rng rng(5);
+  const Tensor x0 = Tensor::uniform(Shape{96, 64}, rng, -1.0, 1.0);
+  const Tensor c0 = Tensor::uniform(Shape{96, 1}, rng, 0.5, 2.0);
+  const auto x_grad = [&](bool c_requires_grad) {
+    Tensor x = Tensor::from_vector(x0.to_vector(), x0.shape());
+    x.set_requires_grad(true);
+    Tensor c = Tensor::from_vector(c0.to_vector(), c0.shape());
+    c.set_requires_grad(c_requires_grad);
+    sum(square(x * c)).backward();
+    return x.grad().to_vector();
+  };
+  const std::vector<real> reference = x_grad(/*c_requires_grad=*/true);
+
+  obs::prof::reset();
+  obs::prof::enable();
+  const std::vector<real> skipped = x_grad(/*c_requires_grad=*/false);
+  obs::prof::disable();
+  const obs::prof::Report report = obs::prof::report(false);
+  obs::prof::reset();
+
+  EXPECT_EQ(skipped, reference);
+  bool saw_mul_bwd = false;
+  for (const auto& row : report.kernels) {
+    EXPECT_NE(row.name, "reduce_to") << "c's gradient was reduced";
+    if (row.name == "mul.bwd") saw_mul_bwd = true;
+  }
+  EXPECT_TRUE(saw_mul_bwd);  // the profiler did see the backward
 }
 
 TEST(OpsTest, MseLossValue) {

@@ -23,10 +23,13 @@
 #include "sgnn/data/dataset.hpp"
 #include "sgnn/graph/batch.hpp"
 #include "sgnn/graph/graph.hpp"
+#include "sgnn/nn/egnn.hpp"
 #include "sgnn/obs/telemetry.hpp"
+#include "sgnn/tensor/kernels.hpp"
 #include "sgnn/train/distributed.hpp"
 #include "sgnn/train/halo.hpp"
 #include "sgnn/train/loss.hpp"
+#include "sgnn/train/optim.hpp"
 #include "sgnn/train/zero.hpp"
 #include "sgnn/util/rng.hpp"
 
@@ -472,6 +475,175 @@ TEST(PartitionParityTest, TrainedParametersMatchSingleRankByteForByte) {
                 reference)
           << "ranks=" << R << (checkpointing ? " ckpt" : "");
     }
+  }
+}
+
+// -- block-scale parity -------------------------------------------------------
+//
+// Parameter gradients fold in the canonical blocked order: 64-row blocks of
+// GLOBAL rows (kernels::kFoldBlockRows), each folded from +0, added in
+// ascending order. Each rank folds its whole blocks alone, and the ring
+// continues only the block that straddles a rank boundary. The batches
+// below are built so that every case of that split occurs, and the test
+// asserts that they do, so it cannot quietly shrink to single-block folds.
+
+/// `atoms` hydrogens on a line, `spacing` apart: a chain (two neighbors per
+/// interior atom) inside the cutoff, isolated atoms beyond it.
+AtomicStructure atom_row(std::int64_t atoms, double spacing) {
+  AtomicStructure s;
+  for (std::int64_t i = 0; i < atoms; ++i) {
+    s.species.push_back(elements::kH);
+    s.positions.push_back({spacing * static_cast<double>(i), 0.0, 0.0});
+  }
+  return s;
+}
+
+/// Isolated pairs 10 Å apart: every atom has exactly one neighbor, so a
+/// rank that owns only pairs has as many local edges as owned nodes.
+AtomicStructure dimers(std::int64_t pairs) {
+  AtomicStructure s;
+  for (std::int64_t i = 0; i < pairs; ++i) {
+    for (const double dx : {0.0, 1.0}) {
+      s.species.push_back(elements::kH);
+      s.positions.push_back({10.0 * static_cast<double>(i) + dx, 0.0, 0.0});
+    }
+  }
+  return s;
+}
+
+GraphBatch batch_of(const std::vector<AtomicStructure>& structures) {
+  std::vector<MolecularGraph> graphs;
+  for (const auto& s : structures) {
+    graphs.push_back(MolecularGraph::from_structure(s, 3.0));
+  }
+  return GraphBatch::from_graphs(graphs);
+}
+
+/// Which block cases a partition's edge folds exercise.
+struct BlockCoverage {
+  bool two_whole_blocks = false;   ///< some rank holds >= 2 complete blocks
+  bool boundaries_straddle = true; ///< no rank boundary is block-aligned
+  bool shard_in_one_block = false; ///< some shard starts and ends mid-block
+  bool empty_rank = false;
+  /// Some rank owns as many nodes as it has edges, at offsets that split
+  /// its rows into blocks differently.
+  bool ambiguous_rows = false;
+};
+
+BlockCoverage block_coverage(const gpar::GraphPartition& partition) {
+  const std::int64_t block = kernels::kFoldBlockRows;
+  BlockCoverage coverage;
+  for (int r = 0; r < partition.num_ranks; ++r) {
+    const auto& rp = partition.ranks[static_cast<std::size_t>(r)];
+    const std::int64_t begin = rp.edge_begin;
+    const std::int64_t end = rp.edge_end;
+    if (end / block - (begin + block - 1) / block >= 2) {
+      coverage.two_whole_blocks = true;
+    }
+    if (r + 1 < partition.num_ranks && end % block == 0) {
+      coverage.boundaries_straddle = false;
+    }
+    if (end > begin && begin % block != 0 && end % block != 0 &&
+        begin / block == (end - 1) / block) {
+      coverage.shard_in_one_block = true;
+    }
+    if (rp.num_owned() == 0) coverage.empty_rank = true;
+    if (rp.num_owned() > 0 && rp.num_owned() == rp.num_local_edges() &&
+        rp.owned_begin % block != rp.edge_begin % block) {
+      coverage.ambiguous_rows = true;
+    }
+  }
+  return coverage;
+}
+
+/// Gradients of one forward/backward, then parameters after one Adam step.
+struct StepResult {
+  std::vector<real> gradients;
+  std::vector<real> parameters;
+};
+
+StepResult train_one_step(EGNNModel& model, const GraphBatch& batch,
+                          gpar::HaloExchanger* halo) {
+  EGNNModel::ForwardOptions options;
+  options.graph_parallel = halo;
+  const auto out = model.forward(batch, options);
+  LossTerms terms = multitask_loss(out, batch, LossWeights{});
+  terms.total.backward();
+  StepResult result;
+  result.gradients = flatten_gradients(model.parameters());
+  Adam adam(model.parameters(), Adam::Options{});
+  adam.step();
+  result.parameters = flatten_parameters(model.parameters());
+  return result;
+}
+
+void expect_step_parity(const GraphBatch& batch, int num_ranks) {
+  ModelConfig config;
+  config.hidden_dim = 10;
+  config.num_layers = 2;
+  EGNNModel reference_model(config);
+  const StepResult reference = train_one_step(reference_model, batch, nullptr);
+  ASSERT_FALSE(reference.gradients.empty());
+
+  Communicator comm(num_ranks);
+  std::vector<std::unique_ptr<EGNNModel>> models;
+  for (int r = 0; r < num_ranks; ++r) {
+    models.push_back(std::make_unique<EGNNModel>(config));
+  }
+  std::vector<StepResult> results(static_cast<std::size_t>(num_ranks));
+  run_ranks(num_ranks, [&](int rank) {
+    const auto ri = static_cast<std::size_t>(rank);
+    const auto partition = gpar::GraphPartition::build(batch, num_ranks);
+    gpar::HaloExchanger halo(comm, rank, partition, batch);
+    results[ri] = train_one_step(*models[ri], batch, &halo);
+  });
+  for (int r = 0; r < num_ranks; ++r) {
+    const auto& got = results[static_cast<std::size_t>(r)];
+    EXPECT_EQ(got.gradients, reference.gradients) << "rank " << r;
+    EXPECT_EQ(got.parameters, reference.parameters) << "rank " << r;
+  }
+}
+
+TEST(PartitionParityTest, BlockedFoldsStraddleRankBoundaries) {
+  // A dense cluster (whole blocks), a chain and a row of isolated atoms
+  // (sparse ranks whose shards sit inside one block), then a small cluster.
+  Rng rng(7);
+  const AtomicStructure dense = random_cluster(32, 4.0, rng);
+  const AtomicStructure tail = random_cluster(8, 4.0, rng);
+  const GraphBatch straddling =
+      batch_of({dense, atom_row(18, 2.5), atom_row(24, 10.0), tail});
+  ASSERT_GT(straddling.num_edges, 8 * kernels::kFoldBlockRows);
+  for (const int R : {2, 3, 4}) {
+    SCOPED_TRACE("straddling batch, ranks=" + std::to_string(R));
+    const BlockCoverage coverage =
+        block_coverage(gpar::GraphPartition::build(straddling, R));
+    ASSERT_TRUE(coverage.two_whole_blocks);
+    ASSERT_TRUE(coverage.boundaries_straddle);
+    ASSERT_TRUE(coverage.shard_in_one_block);
+    expect_step_parity(straddling, R);
+  }
+
+  // Three atoms on four ranks: the last rank owns nothing.
+  const GraphBatch tiny = batch_of({random_cluster(3, 1.5, rng)});
+  {
+    SCOPED_TRACE("empty rank, ranks=4");
+    ASSERT_TRUE(block_coverage(gpar::GraphPartition::build(tiny, 4))
+                    .empty_rank);
+    expect_step_parity(tiny, 4);
+  }
+
+  // A cluster then pairs: at R=2 the second rank has as many edges as
+  // nodes, at global offsets that fall differently in their blocks, so its
+  // row count alone cannot tell an edge fold from a node fold.
+  const GraphBatch paired =
+      batch_of({random_cluster(40, 5.0, rng), dimers(20)});
+  for (const int R : {2, 4}) {
+    SCOPED_TRACE("equal node and edge counts, ranks=" + std::to_string(R));
+    if (R == 2) {
+      ASSERT_TRUE(block_coverage(gpar::GraphPartition::build(paired, R))
+                      .ambiguous_rows);
+    }
+    expect_step_parity(paired, R);
   }
 }
 
