@@ -49,6 +49,7 @@ const char* better_label(BenchReport::Better better) {
     case BenchReport::Better::kLower: return "lower";
     case BenchReport::Better::kHigher: return "higher";
     case BenchReport::Better::kNone: return "none";
+    case BenchReport::Better::kExact: return "exact";
   }
   return "none";
 }

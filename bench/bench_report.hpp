@@ -25,7 +25,9 @@ std::string bench_out_path(const std::string& filename);
 class BenchReport {
  public:
   /// Which direction of change sgnn_bench_compare treats as a regression.
-  enum class Better { kLower, kHigher, kNone };
+  /// kExact marks a deterministic count: any change at all fails the
+  /// compare, even under --warn-only.
+  enum class Better { kLower, kHigher, kNone, kExact };
 
   /// Creating the report also enables (and resets) the kernel profiler, so
   /// everything the bench runs afterwards is attributed in the profile

@@ -153,11 +153,11 @@ int main() {
     const std::string prefix = "gp.r" + std::to_string(ranks) + ".";
     // Payload and exchange counts are pure functions of the (seeded)
     // dataset and the partition — deterministic, so the committed baseline
-    // gates them hard: traffic growth is a partitioner regression.
+    // gates them exactly: any change fails the compare, even warn-only.
     report.add_value(prefix + "halo_bytes_per_step", bytes_per_step,
-                     BenchReport::Better::kLower);
+                     BenchReport::Better::kExact);
     report.add_value(prefix + "halo_exchanges_per_step", exch_per_step,
-                     BenchReport::Better::kLower);
+                     BenchReport::Better::kExact);
     // Timing split is machine-noisy: informational only.
     report.add_value(prefix + "halo_exposed_s", run.halo_exposed_seconds,
                      BenchReport::Better::kNone);

@@ -13,13 +13,12 @@
 
 namespace sgnn {
 
-/// The four collective primitives, as an enum so cost accounting can be
+/// The three collective primitives, as an enum so cost accounting can be
 /// parameterized over the kind (see InterconnectModel::overlap_cost).
 enum class CollectiveKind {
   kAllReduce,
   kReduceScatter,
   kAllGather,
-  kBroadcast,
 };
 
 namespace comm_detail {
@@ -61,27 +60,28 @@ class CollectiveHandle {
 /// NVLink-connected A100 quads of the paper's Perlmutter nodes.
 ///
 /// All collectives are SPMD: every rank must call the same operation in the
-/// same order (enforced loosely by the internal barriers; mismatched calls
-/// deadlock just as they would in MPI).
+/// same order. Blocking and non-blocking calls share one progress engine and
+/// one per-rank FIFO: a blocking collective is its non-blocking post followed
+/// by wait(), so it queues behind the rank's outstanding posts. A mismatched
+/// call (different kind, size or partition on some rank) fails with Error on
+/// every rank instead of deadlocking, and moves no traffic.
 class Communicator {
  public:
   explicit Communicator(int num_ranks);
-  /// Joins the progress engine; outstanding un-matched non-blocking posts
-  /// are failed (their wait() throws) rather than left to deadlock.
+  /// Joins the progress engine; outstanding un-matched posts are failed
+  /// (their wait() throws) rather than left to deadlock.
   ~Communicator();
   Communicator(const Communicator&) = delete;
   Communicator& operator=(const Communicator&) = delete;
 
   int num_ranks() const { return num_ranks_; }
 
-  /// Blocks until all ranks arrive.
+  /// Blocks until all ranks arrive. Not a collective: it bypasses the
+  /// progress engine and moves no traffic.
   void barrier();
 
   /// In-place elementwise sum across ranks; every rank ends with the total.
   void all_reduce_sum(int rank, std::vector<real>& data);
-
-  /// Root's data replaces everyone's.
-  void broadcast(int rank, std::vector<real>& data, int root);
 
   /// Splits `input` (same on-rank length everywhere) into num_ranks
   /// contiguous shards; rank r receives the elementwise sum of shard r.
@@ -90,7 +90,7 @@ class Communicator {
                                        const std::vector<real>& input);
 
   /// Concatenates per-rank shards (shard r from rank r) on every rank, in
-  /// rank order.
+  /// rank order. Shards may differ in length across ranks.
   std::vector<real> all_gather(int rank, const std::vector<real>& shard);
 
   // -- Non-blocking collectives ---------------------------------------------
@@ -98,11 +98,12 @@ class Communicator {
   // MPI-style immediate variants: the call enqueues the operation with the
   // communicator's progress engine and returns a CollectiveHandle; the rank
   // keeps computing and synchronizes via wait()/test(). SPMD matching is by
-  // per-rank post order: the i-th non-blocking post of every rank forms one
-  // logical collective, so all ranks MUST post the same kinds/sizes in the
-  // same order (a mismatch fails the handles instead of deadlocking).
-  // Results are bit-identical to the blocking counterparts (fixed
-  // rank-order reduction). Buffers belong to the engine until completion.
+  // per-rank post order: the i-th post of every rank (blocking calls count)
+  // forms one logical collective, so all ranks MUST post the same
+  // kinds/sizes in the same order (a mismatch fails the handles instead of
+  // deadlocking). The blocking collectives above are these posts plus
+  // wait(), so results are bit-identical to them (fixed rank-order
+  // reduction). Buffers belong to the engine until completion.
 
   /// Non-blocking all_reduce_sum: `data` holds the elementwise total across
   /// ranks once the handle completes.
@@ -134,16 +135,13 @@ class Communicator {
     std::uint64_t all_reduce_bytes = 0;
     std::uint64_t reduce_scatter_bytes = 0;
     std::uint64_t all_gather_bytes = 0;
-    std::uint64_t broadcast_bytes = 0;
     std::uint64_t all_reduce_calls = 0;
     std::uint64_t reduce_scatter_calls = 0;
     std::uint64_t all_gather_calls = 0;
-    std::uint64_t broadcast_calls = 0;
-    std::uint64_t collective_calls = 0;  ///< total across all four kinds
+    std::uint64_t collective_calls = 0;  ///< total across all three kinds
 
     std::uint64_t total_bytes() const {
-      return all_reduce_bytes + reduce_scatter_bytes + all_gather_bytes +
-             broadcast_bytes;
+      return all_reduce_bytes + reduce_scatter_bytes + all_gather_bytes;
     }
 
     /// Elementwise difference (this minus `earlier`); the per-step traffic
@@ -169,9 +167,9 @@ class Communicator {
   /// Progress-engine body: matches same-sequence posts across ranks,
   /// executes them, and completes (or fails) the handles.
   void progress_loop();
-  /// Records one executed non-blocking collective in the traffic counters
-  /// and obs metrics — exactly once per logical op, at execution time.
-  void count_nonblocking(CollectiveKind kind, std::uint64_t bytes);
+  /// Records one executed collective in the traffic counters and obs
+  /// metrics — exactly once per logical op, at execution time.
+  void count_collective(CollectiveKind kind, std::uint64_t bytes);
 
   int num_ranks_;
 
@@ -181,10 +179,7 @@ class Communicator {
   int arrived_ = 0;
   std::uint64_t generation_ = 0;
 
-  // Exchange slots, valid between the surrounding barriers.
-  std::vector<const std::vector<real>*> posted_;
-
-  // Non-blocking progress engine: one FIFO of pending posts per rank, one
+  // The progress engine: one FIFO of pending posts per rank, one
   // lazily-started worker thread that executes a logical collective once
   // every rank's next post has arrived.
   std::mutex nb_mutex_;
@@ -197,11 +192,9 @@ class Communicator {
   std::atomic<std::uint64_t> all_reduce_bytes_{0};
   std::atomic<std::uint64_t> reduce_scatter_bytes_{0};
   std::atomic<std::uint64_t> all_gather_bytes_{0};
-  std::atomic<std::uint64_t> broadcast_bytes_{0};
   std::atomic<std::uint64_t> all_reduce_calls_{0};
   std::atomic<std::uint64_t> reduce_scatter_calls_{0};
   std::atomic<std::uint64_t> all_gather_calls_{0};
-  std::atomic<std::uint64_t> broadcast_calls_{0};
   std::atomic<std::uint64_t> collective_calls_{0};
 };
 
@@ -225,14 +218,12 @@ struct InterconnectModel {
   /// Ring reduce-scatter / all-gather: (R-1) steps of n/R bytes.
   double reduce_scatter_seconds(std::uint64_t bytes, int ranks) const;
   double all_gather_seconds(std::uint64_t bytes, int ranks) const;
-  double broadcast_seconds(std::uint64_t bytes, int ranks) const;
 
   /// Launch latency of ONE call of each collective (steps x per-step
   /// latency). Multiply by the call count for the latency of many calls.
   double all_reduce_latency_seconds(int ranks) const;
   double reduce_scatter_latency_seconds(int ranks) const;
   double all_gather_latency_seconds(int ranks) const;
-  double broadcast_latency_seconds(int ranks) const;
 
   /// Total modeled fabric time for a traffic record (aggregate or delta):
   /// per-kind bandwidth terms plus per-call latency from the call counts.

@@ -20,7 +20,7 @@ struct NbOpState {
   std::string error;  ///< non-empty: wait()/test() throw instead
 };
 
-/// One rank's enqueued non-blocking post, parked until every rank's
+/// One rank's enqueued collective post, parked until every rank's
 /// matching post (same position in its FIFO) has arrived.
 struct PendingOp {
   CollectiveKind kind = CollectiveKind::kAllReduce;
@@ -28,7 +28,8 @@ struct PendingOp {
   std::vector<real>* inout = nullptr;        ///< all-reduce: in and out
   const std::vector<real>* input = nullptr;  ///< rs input / ag piece
   std::vector<real>* output = nullptr;       ///< rs piece / ag gathered
-  std::vector<std::size_t> counts;           ///< explicit partition sizes
+  std::vector<std::size_t> counts;           ///< partition sizes; empty
+                                             ///< for the blocking all-gather
   std::shared_ptr<NbOpState> state;
 };
 
@@ -64,7 +65,6 @@ void CollectiveHandle::wait() const {
 
 Communicator::Communicator(int num_ranks) : num_ranks_(num_ranks) {
   SGNN_CHECK(num_ranks > 0, "communicator needs at least one rank");
-  posted_.assign(static_cast<std::size_t>(num_ranks), nullptr);
   nb_queues_.resize(static_cast<std::size_t>(num_ranks));
 }
 
@@ -87,7 +87,7 @@ Communicator::~Communicator() {
                       orphans.empty()
                           ? ""
                           : "communicator destroyed with unmatched "
-                            "non-blocking collective posts");
+                            "collective posts");
 }
 
 void Communicator::barrier() {
@@ -114,6 +114,10 @@ std::pair<std::size_t, std::size_t> Communicator::shard_range(std::size_t n,
   return {begin, begin + size};
 }
 
+// The blocking collectives are post + wait on the progress engine, so they
+// share its FIFO, its cross-rank validation, its rank-order reduction and its
+// traffic accounting with the non-blocking ones.
+
 void Communicator::all_reduce_sum(int rank, std::vector<real>& data) {
   SGNN_CHECK(rank >= 0 && rank < num_ranks_, "invalid rank " << rank);
   obs::TraceSpan span("all_reduce", "collective");
@@ -121,66 +125,7 @@ void Communicator::all_reduce_sum(int rank, std::vector<real>& data) {
     span.arg("bytes",
              static_cast<std::uint64_t>(data.size() * sizeof(real)));
   }
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    posted_[static_cast<std::size_t>(rank)] = &data;
-  }
-  barrier();
-  // Every rank reduces the full vector; results are bit-identical across
-  // ranks because the summation order is fixed (rank 0, 1, ..., R-1).
-  std::vector<real> total(data.size(), real{0});
-  for (int r = 0; r < num_ranks_; ++r) {
-    const auto& src = *posted_[static_cast<std::size_t>(r)];
-    SGNN_CHECK(src.size() == data.size(),
-               "all_reduce size mismatch: rank " << r << " has " << src.size()
-                                                 << ", rank " << rank
-                                                 << " has " << data.size());
-    for (std::size_t i = 0; i < total.size(); ++i) total[i] += src[i];
-  }
-  barrier();
-  data = std::move(total);
-  if (rank == 0) {
-    const std::uint64_t bytes = data.size() * sizeof(real);
-    all_reduce_bytes_.fetch_add(bytes);
-    all_reduce_calls_.fetch_add(1);
-    collective_calls_.fetch_add(1);
-    obs::MetricsRegistry::instance()
-        .counter("comm.all_reduce_bytes")
-        .add(static_cast<std::int64_t>(bytes));
-    obs::MetricsRegistry::instance().counter("comm.collective_calls").add(1);
-  }
-}
-
-void Communicator::broadcast(int rank, std::vector<real>& data, int root) {
-  SGNN_CHECK(rank >= 0 && rank < num_ranks_, "invalid rank " << rank);
-  SGNN_CHECK(root >= 0 && root < num_ranks_, "invalid broadcast root");
-  obs::TraceSpan span("broadcast", "collective");
-  if (span.active()) {
-    span.arg("bytes",
-             static_cast<std::uint64_t>(data.size() * sizeof(real)));
-  }
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    posted_[static_cast<std::size_t>(rank)] = &data;
-  }
-  barrier();
-  const auto& src = *posted_[static_cast<std::size_t>(root)];
-  std::vector<real> copy;
-  if (rank != root) {
-    copy = src;  // read while the root's buffer is pinned between barriers
-  }
-  barrier();
-  if (rank != root) data = std::move(copy);
-  if (rank == 0) {
-    const std::uint64_t bytes = data.size() * sizeof(real);
-    broadcast_bytes_.fetch_add(bytes);
-    broadcast_calls_.fetch_add(1);
-    collective_calls_.fetch_add(1);
-    obs::MetricsRegistry::instance()
-        .counter("comm.broadcast_bytes")
-        .add(static_cast<std::int64_t>(bytes));
-    obs::MetricsRegistry::instance().counter("comm.collective_calls").add(1);
-  }
+  iall_reduce_sum(rank, data).wait();
 }
 
 std::vector<real> Communicator::reduce_scatter_sum(
@@ -191,29 +136,15 @@ std::vector<real> Communicator::reduce_scatter_sum(
     span.arg("bytes",
              static_cast<std::uint64_t>(input.size() * sizeof(real)));
   }
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    posted_[static_cast<std::size_t>(rank)] = &input;
-  }
-  barrier();
-  const auto [begin, end] = shard_range(input.size(), rank, num_ranks_);
-  std::vector<real> shard(end - begin, real{0});
+  // The shard_range partition of this rank's length: ranks whose lengths
+  // differ post different counts, which the engine rejects on every rank.
+  std::vector<std::size_t> counts;
   for (int r = 0; r < num_ranks_; ++r) {
-    const auto& src = *posted_[static_cast<std::size_t>(r)];
-    SGNN_CHECK(src.size() == input.size(), "reduce_scatter size mismatch");
-    for (std::size_t i = begin; i < end; ++i) shard[i - begin] += src[i];
+    const auto [begin, end] = shard_range(input.size(), r, num_ranks_);
+    counts.push_back(end - begin);
   }
-  barrier();
-  if (rank == 0) {
-    const std::uint64_t bytes = input.size() * sizeof(real);
-    reduce_scatter_bytes_.fetch_add(bytes);
-    reduce_scatter_calls_.fetch_add(1);
-    collective_calls_.fetch_add(1);
-    obs::MetricsRegistry::instance()
-        .counter("comm.reduce_scatter_bytes")
-        .add(static_cast<std::int64_t>(bytes));
-    obs::MetricsRegistry::instance().counter("comm.collective_calls").add(1);
-  }
+  std::vector<real> shard;
+  ireduce_scatter_counts(rank, input, counts, shard).wait();
   return shard;
 }
 
@@ -225,27 +156,15 @@ std::vector<real> Communicator::all_gather(int rank,
     span.arg("bytes",
              static_cast<std::uint64_t>(shard.size() * sizeof(real)));
   }
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    posted_[static_cast<std::size_t>(rank)] = &shard;
-  }
-  barrier();
+  // Counts-free: every rank's shard is concatenated as posted, so uneven
+  // shards (ZeRO's trailing ones) need no size exchange.
   std::vector<real> gathered;
-  for (int r = 0; r < num_ranks_; ++r) {
-    const auto& src = *posted_[static_cast<std::size_t>(r)];
-    gathered.insert(gathered.end(), src.begin(), src.end());
-  }
-  barrier();
-  if (rank == 0) {
-    const std::uint64_t bytes = gathered.size() * sizeof(real);
-    all_gather_bytes_.fetch_add(bytes);
-    all_gather_calls_.fetch_add(1);
-    collective_calls_.fetch_add(1);
-    obs::MetricsRegistry::instance()
-        .counter("comm.all_gather_bytes")
-        .add(static_cast<std::int64_t>(bytes));
-    obs::MetricsRegistry::instance().counter("comm.collective_calls").add(1);
-  }
+  comm_detail::PendingOp op;
+  op.kind = CollectiveKind::kAllGather;
+  op.rank = rank;
+  op.input = &shard;
+  op.output = &gathered;
+  enqueue(std::move(op)).wait();
   return gathered;
 }
 
@@ -305,7 +224,7 @@ CollectiveHandle Communicator::enqueue(comm_detail::PendingOp op) {
   CollectiveHandle handle(op.state);
   {
     const std::lock_guard<std::mutex> lock(nb_mutex_);
-    SGNN_CHECK(!nb_shutdown_, "non-blocking post on a shutting-down "
+    SGNN_CHECK(!nb_shutdown_, "collective post on a shutting-down "
                               "communicator");
     if (!nb_engine_started_) {
       nb_engine_started_ = true;
@@ -321,14 +240,13 @@ namespace {
 
 /// Cross-rank validation of one matched set of posts. Returns an empty
 /// string when the set forms a well-posed collective; otherwise the error
-/// every handle should fail with. This is the non-blocking analogue of the
-/// SGNN_CHECKs inside the blocking collectives — except a mismatch here
-/// cannot throw in any rank's thread, so it is deferred to wait()/test().
+/// every handle should fail with. A mismatch cannot throw in any rank's
+/// thread here, so it is deferred to wait()/test() — on every rank.
 std::string validate_matched(const std::vector<comm_detail::PendingOp>& ops) {
   const CollectiveKind kind = ops.front().kind;
   for (const auto& op : ops) {
     if (op.kind != kind) {
-      return "mismatched non-blocking collective kinds across ranks "
+      return "mismatched collective kinds across ranks "
              "(SPMD post-order violation)";
     }
   }
@@ -337,7 +255,7 @@ std::string validate_matched(const std::vector<comm_detail::PendingOp>& ops) {
       const std::size_t n = ops.front().inout->size();
       for (const auto& op : ops) {
         if (op.inout->size() != n) {
-          return "iall_reduce_sum size mismatch across ranks";
+          return "all_reduce size mismatch across ranks";
         }
       }
       break;
@@ -347,13 +265,11 @@ std::string validate_matched(const std::vector<comm_detail::PendingOp>& ops) {
       const auto& counts = ops.front().counts;
       for (const auto& op : ops) {
         if (op.counts != counts) {
-          return "non-blocking collective counts differ across ranks";
+          return "collective counts differ across ranks";
         }
       }
       break;
     }
-    case CollectiveKind::kBroadcast:
-      return "broadcast has no non-blocking variant";
   }
   return std::string();
 }
@@ -391,15 +307,15 @@ void Communicator::progress_loop() {
     }
     switch (ops.front().kind) {
       case CollectiveKind::kAllReduce: {
-        // Fixed rank-order summation, exactly like the blocking path, so
-        // bucketed results are bit-identical to one big all_reduce_sum.
+        // Fixed rank-order summation from +0, so bucketed results are
+        // bit-identical to one big all_reduce_sum.
         std::vector<real> total(ops.front().inout->size(), real{0});
         for (const auto& op : ops) {
           const auto& src = *op.inout;
           for (std::size_t i = 0; i < total.size(); ++i) total[i] += src[i];
         }
         for (auto& op : ops) *op.inout = total;
-        count_nonblocking(CollectiveKind::kAllReduce,
+        count_collective(CollectiveKind::kAllReduce,
                           total.size() * sizeof(real));
         break;
       }
@@ -417,7 +333,7 @@ void Communicator::progress_loop() {
           }
           offset += counts[r];
         }
-        count_nonblocking(CollectiveKind::kReduceScatter,
+        count_collective(CollectiveKind::kReduceScatter,
                           offset * sizeof(real));
         break;
       }
@@ -427,18 +343,16 @@ void Communicator::progress_loop() {
           gathered.insert(gathered.end(), op.input->begin(), op.input->end());
         }
         for (auto& op : ops) *op.output = gathered;
-        count_nonblocking(CollectiveKind::kAllGather,
+        count_collective(CollectiveKind::kAllGather,
                           gathered.size() * sizeof(real));
         break;
       }
-      case CollectiveKind::kBroadcast:
-        break;  // rejected by validate_matched
     }
     comm_detail::finish(ops, std::string());
   }
 }
 
-void Communicator::count_nonblocking(CollectiveKind kind,
+void Communicator::count_collective(CollectiveKind kind,
                                      std::uint64_t bytes) {
   auto& registry = obs::MetricsRegistry::instance();
   switch (kind) {
@@ -460,12 +374,6 @@ void Communicator::count_nonblocking(CollectiveKind kind,
       registry.counter("comm.all_gather_bytes")
           .add(static_cast<std::int64_t>(bytes));
       break;
-    case CollectiveKind::kBroadcast:
-      broadcast_bytes_.fetch_add(bytes);
-      broadcast_calls_.fetch_add(1);
-      registry.counter("comm.broadcast_bytes")
-          .add(static_cast<std::int64_t>(bytes));
-      break;
   }
   collective_calls_.fetch_add(1);
   registry.counter("comm.collective_calls").add(1);
@@ -476,11 +384,9 @@ Communicator::Traffic Communicator::traffic() const {
   t.all_reduce_bytes = all_reduce_bytes_.load();
   t.reduce_scatter_bytes = reduce_scatter_bytes_.load();
   t.all_gather_bytes = all_gather_bytes_.load();
-  t.broadcast_bytes = broadcast_bytes_.load();
   t.all_reduce_calls = all_reduce_calls_.load();
   t.reduce_scatter_calls = reduce_scatter_calls_.load();
   t.all_gather_calls = all_gather_calls_.load();
-  t.broadcast_calls = broadcast_calls_.load();
   t.collective_calls = collective_calls_.load();
   return t;
 }
@@ -489,11 +395,9 @@ void Communicator::reset_traffic() {
   all_reduce_bytes_ = 0;
   reduce_scatter_bytes_ = 0;
   all_gather_bytes_ = 0;
-  broadcast_bytes_ = 0;
   all_reduce_calls_ = 0;
   reduce_scatter_calls_ = 0;
   all_gather_calls_ = 0;
-  broadcast_calls_ = 0;
   collective_calls_ = 0;
 }
 
@@ -502,11 +406,9 @@ Communicator::Traffic Communicator::Traffic::since(
   SGNN_CHECK(earlier.all_reduce_bytes <= all_reduce_bytes &&
                  earlier.reduce_scatter_bytes <= reduce_scatter_bytes &&
                  earlier.all_gather_bytes <= all_gather_bytes &&
-                 earlier.broadcast_bytes <= broadcast_bytes &&
                  earlier.all_reduce_calls <= all_reduce_calls &&
                  earlier.reduce_scatter_calls <= reduce_scatter_calls &&
                  earlier.all_gather_calls <= all_gather_calls &&
-                 earlier.broadcast_calls <= broadcast_calls &&
                  earlier.collective_calls <= collective_calls,
              "Traffic::since called with a later snapshot as `earlier`; "
              "unsigned subtraction would wrap");
@@ -515,12 +417,10 @@ Communicator::Traffic Communicator::Traffic::since(
   delta.reduce_scatter_bytes =
       reduce_scatter_bytes - earlier.reduce_scatter_bytes;
   delta.all_gather_bytes = all_gather_bytes - earlier.all_gather_bytes;
-  delta.broadcast_bytes = broadcast_bytes - earlier.broadcast_bytes;
   delta.all_reduce_calls = all_reduce_calls - earlier.all_reduce_calls;
   delta.reduce_scatter_calls =
       reduce_scatter_calls - earlier.reduce_scatter_calls;
   delta.all_gather_calls = all_gather_calls - earlier.all_gather_calls;
-  delta.broadcast_calls = broadcast_calls - earlier.broadcast_calls;
   delta.collective_calls = collective_calls - earlier.collective_calls;
   return delta;
 }
@@ -546,12 +446,6 @@ double InterconnectModel::all_gather_seconds(std::uint64_t bytes,
   return reduce_scatter_seconds(bytes, ranks);
 }
 
-double InterconnectModel::broadcast_seconds(std::uint64_t bytes,
-                                            int ranks) const {
-  if (ranks <= 1) return 0.0;
-  return static_cast<double>(bytes) / link_bandwidth_bytes_per_s;
-}
-
 double InterconnectModel::all_reduce_latency_seconds(int ranks) const {
   if (ranks <= 1) return 0.0;
   return 2.0 * (ranks - 1) * latency_seconds;
@@ -566,25 +460,17 @@ double InterconnectModel::all_gather_latency_seconds(int ranks) const {
   return reduce_scatter_latency_seconds(ranks);
 }
 
-double InterconnectModel::broadcast_latency_seconds(int ranks) const {
-  if (ranks <= 1) return 0.0;
-  return static_cast<double>(ranks - 1) * latency_seconds;
-}
-
 double InterconnectModel::seconds(const Communicator::Traffic& traffic,
                                   int ranks) const {
   return all_reduce_seconds(traffic.all_reduce_bytes, ranks) +
          reduce_scatter_seconds(traffic.reduce_scatter_bytes, ranks) +
          all_gather_seconds(traffic.all_gather_bytes, ranks) +
-         broadcast_seconds(traffic.broadcast_bytes, ranks) +
          static_cast<double>(traffic.all_reduce_calls) *
              all_reduce_latency_seconds(ranks) +
          static_cast<double>(traffic.reduce_scatter_calls) *
              reduce_scatter_latency_seconds(ranks) +
          static_cast<double>(traffic.all_gather_calls) *
-             all_gather_latency_seconds(ranks) +
-         static_cast<double>(traffic.broadcast_calls) *
-             broadcast_latency_seconds(ranks);
+             all_gather_latency_seconds(ranks);
 }
 
 double InterconnectModel::call_seconds(CollectiveKind kind,
@@ -599,9 +485,6 @@ double InterconnectModel::call_seconds(CollectiveKind kind,
     case CollectiveKind::kAllGather:
       return all_gather_seconds(bytes, ranks) +
              all_gather_latency_seconds(ranks);
-    case CollectiveKind::kBroadcast:
-      return broadcast_seconds(bytes, ranks) +
-             broadcast_latency_seconds(ranks);
   }
   SGNN_CHECK(false, "unknown CollectiveKind");
   return 0.0;

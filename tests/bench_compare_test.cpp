@@ -145,4 +145,38 @@ TEST(BenchCompare, ZeroBaselineDoesNotDivideByZero) {
   EXPECT_TRUE(result.has_regression);  // 0 -> 1 with lower-is-better
 }
 
+// -- exact (deterministic-count) metrics --------------------------------------
+
+TEST(BenchCompare, ExactMetricThatMovedFailsEvenUnderWarnOnly) {
+  Report base = parse_report(report_json(0.5, 100.0));
+  Report cur = parse_report(report_json(0.5, 100.0));
+  base.values.insert_or_assign("halo_bytes_per_step",
+                               Value{3023896.0, "exact"});
+  // One byte less is still a change: an exact count has no threshold and
+  // no good direction.
+  cur.values.insert_or_assign("halo_bytes_per_step",
+                              Value{3023895.0, "exact"});
+  const CompareResult result = compare(base, cur, 0.25);
+  EXPECT_TRUE(result.has_exact_change);
+  EXPECT_TRUE(result.has_regression);
+  for (const auto& d : result.deltas) {
+    EXPECT_EQ(d.exact_change, d.key == "halo_bytes_per_step") << d.key;
+  }
+  EXPECT_EQ(exit_code(result, /*warn_only=*/true), 1);
+  EXPECT_EQ(exit_code(result, /*warn_only=*/false), 1);
+}
+
+TEST(BenchCompare, UnchangedExactMetricPassesAndTimingStaysAdvisory) {
+  Report base = parse_report(report_json(0.5, 100.0));
+  Report cur = parse_report(report_json(0.5 * 1.5, 100.0));  // slow timing
+  base.values.insert_or_assign("halo_exchanges_per_step", Value{63.0, "exact"});
+  cur.values.insert_or_assign("halo_exchanges_per_step", Value{63.0, "exact"});
+  const CompareResult result = compare(base, cur, 0.25);
+  EXPECT_FALSE(result.has_exact_change);
+  EXPECT_TRUE(result.has_regression);  // the timing regressed
+  EXPECT_EQ(exit_code(result, /*warn_only=*/true), 0);
+  EXPECT_EQ(exit_code(result, /*warn_only=*/false), 1);
+  EXPECT_EQ(exit_code(compare(base, base, 0.25), /*warn_only=*/false), 0);
+}
+
 }  // namespace

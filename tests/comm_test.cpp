@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <thread>
 #include <vector>
 
@@ -78,25 +79,6 @@ TEST_P(CommRankSweep, ReduceScatterThenAllGatherReconstructsSum) {
   }
 }
 
-TEST_P(CommRankSweep, BroadcastReplicatesRoot) {
-  const int R = GetParam();
-  Communicator comm(R);
-  const int root = R - 1;
-  std::vector<std::vector<real>> data(static_cast<std::size_t>(R));
-  for (int r = 0; r < R; ++r) {
-    data[static_cast<std::size_t>(r)] = {static_cast<real>(r),
-                                         static_cast<real>(r * 2)};
-  }
-  run_ranks(R, [&](int rank) {
-    comm.broadcast(rank, data[static_cast<std::size_t>(rank)], root);
-  });
-  for (int r = 0; r < R; ++r) {
-    EXPECT_EQ(data[static_cast<std::size_t>(r)],
-              (std::vector<real>{static_cast<real>(root),
-                                 static_cast<real>(root * 2)}));
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(Ranks, CommRankSweep, ::testing::Values(1, 2, 3, 4, 7));
 
 TEST(CommTest, ShardRangeBalancedPartition) {
@@ -164,18 +146,15 @@ TEST(InterconnectModelTest, SecondsMatchesHandComputedKnownTraffic) {
 
   // Bandwidth terms are pure: zero bytes cost zero regardless of latency.
   EXPECT_DOUBLE_EQ(model.all_reduce_seconds(0, R), 0.0);
-  EXPECT_DOUBLE_EQ(model.broadcast_seconds(0, R), 0.0);
   // Ring all-reduce: 2(R-1) steps of n/R bytes = 6 * (400/4/100) = 6 s.
   EXPECT_DOUBLE_EQ(model.all_reduce_seconds(400, R), 6.0);
   // Ring reduce-scatter / all-gather: (R-1) steps of n/R bytes.
   EXPECT_DOUBLE_EQ(model.reduce_scatter_seconds(200, R), 1.5);
   EXPECT_DOUBLE_EQ(model.all_gather_seconds(100, R), 0.75);
-  EXPECT_DOUBLE_EQ(model.broadcast_seconds(50, R), 0.5);
   // Per-call launch latency: steps x latency_seconds.
   EXPECT_DOUBLE_EQ(model.all_reduce_latency_seconds(R), 3.0);
   EXPECT_DOUBLE_EQ(model.reduce_scatter_latency_seconds(R), 1.5);
   EXPECT_DOUBLE_EQ(model.all_gather_latency_seconds(R), 1.5);
-  EXPECT_DOUBLE_EQ(model.broadcast_latency_seconds(R), 1.5);
 
   Communicator::Traffic traffic;
   traffic.all_reduce_bytes = 400;
@@ -184,11 +163,9 @@ TEST(InterconnectModelTest, SecondsMatchesHandComputedKnownTraffic) {
   traffic.reduce_scatter_calls = 1;
   traffic.all_gather_bytes = 100;
   traffic.all_gather_calls = 3;
-  traffic.broadcast_bytes = 50;
-  traffic.broadcast_calls = 1;
-  // bandwidth: 6 + 1.5 + 0.75 + 0.5 = 8.75
-  // latency:   2*3 + 1*1.5 + 3*1.5 + 1*1.5 = 13.5
-  EXPECT_DOUBLE_EQ(model.seconds(traffic, R), 8.75 + 13.5);
+  // bandwidth: 6 + 1.5 + 0.75 = 8.25
+  // latency:   2*3 + 1*1.5 + 3*1.5 = 12.0
+  EXPECT_DOUBLE_EQ(model.seconds(traffic, R), 8.25 + 12.0);
   // A single rank never touches the fabric.
   EXPECT_DOUBLE_EQ(model.seconds(traffic, 1), 0.0);
 }
@@ -202,8 +179,6 @@ TEST(InterconnectModelTest, SecondsIsAdditiveOverTrafficDeltas) {
   Communicator::Traffic first;
   first.all_reduce_bytes = 1234;
   first.all_reduce_calls = 3;
-  first.broadcast_bytes = 77;
-  first.broadcast_calls = 1;
   Communicator::Traffic total = first;
   total.all_reduce_bytes += 555;
   total.all_reduce_calls += 1;
@@ -213,7 +188,6 @@ TEST(InterconnectModelTest, SecondsIsAdditiveOverTrafficDeltas) {
   EXPECT_EQ(delta.all_reduce_bytes, 555u);
   EXPECT_EQ(delta.all_reduce_calls, 1u);
   EXPECT_EQ(delta.all_gather_bytes, 901u);
-  EXPECT_EQ(delta.broadcast_bytes, 0u);
   EXPECT_DOUBLE_EQ(model.seconds(first, 8) + model.seconds(delta, 8),
                    model.seconds(total, 8));
 }
@@ -227,11 +201,76 @@ TEST(CommunicatorTest, CollectivesRejectOutOfRangeRanks) {
   EXPECT_THROW(comm.all_reduce_sum(2, data), Error);
   EXPECT_THROW(comm.reduce_scatter_sum(5, data), Error);
   EXPECT_THROW(comm.all_gather(-3, data), Error);
-  EXPECT_THROW(comm.broadcast(2, data, 0), Error);
-  EXPECT_THROW(comm.broadcast(-1, data, 0), Error);
-  // A valid rank with an out-of-range root is rejected the same way.
-  EXPECT_THROW(comm.broadcast(0, data, 7), Error);
-  EXPECT_THROW(comm.broadcast(0, data, -1), Error);
+}
+
+TEST(CommunicatorTest, MismatchedBlockingCollectivesThrowOnEveryRank) {
+  // Rank 0 all-reduces while rank 1 all-gathers an equal-length vector: an
+  // SPMD violation that must fail on both ranks and move no traffic, not
+  // hand rank 0 a sum and rank 1 a concatenation.
+  Communicator comm(2);
+  std::atomic<int> failed{0};
+  run_ranks(2, [&](int rank) {
+    std::vector<real> data(4, static_cast<real>(rank + 1));
+    try {
+      if (rank == 0) {
+        comm.all_reduce_sum(rank, data);
+      } else {
+        (void)comm.all_gather(rank, data);
+      }
+    } catch (const Error&) {
+      failed.fetch_add(1);
+    }
+  });
+  EXPECT_EQ(failed.load(), 2);
+  EXPECT_EQ(comm.traffic().total_bytes(), 0u);
+  EXPECT_EQ(comm.traffic().collective_calls, 0u);
+}
+
+TEST(CommunicatorTest, ReduceScatterRejectsLengthsThatDifferAcrossRanks) {
+  Communicator comm(2);
+  std::atomic<int> failed{0};
+  run_ranks(2, [&](int rank) {
+    const std::vector<real> input(static_cast<std::size_t>(4 + rank), 1.0);
+    try {
+      (void)comm.reduce_scatter_sum(rank, input);
+    } catch (const Error&) {
+      failed.fetch_add(1);
+    }
+  });
+  EXPECT_EQ(failed.load(), 2);
+  EXPECT_EQ(comm.traffic().total_bytes(), 0u);
+}
+
+TEST(CommunicatorTest, BlockingCollectiveQueuesBehindAnOutstandingPost) {
+  // Blocking and non-blocking calls share one FIFO per rank: a blocking
+  // all-reduce issued while a gather is still posted executes after it,
+  // and both complete with the right results.
+  const int R = 3;
+  Communicator comm(R);
+  const std::vector<std::size_t> counts = {1, 2, 3};
+  std::vector<std::vector<real>> gathered(static_cast<std::size_t>(R));
+  std::vector<std::vector<real>> summed(static_cast<std::size_t>(R));
+  run_ranks(R, [&](int rank) {
+    const auto ri = static_cast<std::size_t>(rank);
+    const std::vector<real> piece(counts[ri], static_cast<real>(rank));
+    CollectiveHandle gather =
+        comm.iall_gather_counts(rank, piece, counts, gathered[ri]);
+    summed[ri] = {static_cast<real>(rank + 1), static_cast<real>(10 * rank)};
+    comm.all_reduce_sum(rank, summed[ri]);
+    gather.wait();
+  });
+  const std::vector<real> expected_gather = {0, 1, 1, 2, 2, 2};
+  const std::vector<real> expected_sum = {6, 30};
+  for (int r = 0; r < R; ++r) {
+    EXPECT_EQ(gathered[static_cast<std::size_t>(r)], expected_gather);
+    EXPECT_EQ(summed[static_cast<std::size_t>(r)], expected_sum);
+  }
+  const auto traffic = comm.traffic();
+  EXPECT_EQ(traffic.all_gather_calls, 1u);
+  EXPECT_EQ(traffic.all_gather_bytes, 6 * sizeof(real));
+  EXPECT_EQ(traffic.all_reduce_calls, 1u);
+  EXPECT_EQ(traffic.all_reduce_bytes, 2 * sizeof(real));
+  EXPECT_EQ(traffic.collective_calls, 2u);
 }
 
 // -- non-blocking collectives -------------------------------------------------
@@ -384,8 +423,6 @@ TEST(InterconnectModelTest, CallSecondsMatchesPerKindFormulas) {
                    1.5 + 1.5);
   EXPECT_DOUBLE_EQ(model.call_seconds(CollectiveKind::kAllGather, 100, R),
                    0.75 + 1.5);
-  EXPECT_DOUBLE_EQ(model.call_seconds(CollectiveKind::kBroadcast, 50, R),
-                   0.5 + 1.5);
 }
 
 TEST(InterconnectModelTest, OverlapCostSplitsExposedAndHiddenTime) {

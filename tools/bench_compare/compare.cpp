@@ -299,8 +299,12 @@ CompareResult compare(const Report& baseline, const Report& current,
     } else if (d.better == "higher") {
       d.regression = d.rel_change < -threshold;
       d.improvement = d.rel_change > threshold;
+    } else if (d.better == "exact") {
+      d.exact_change = d.current != d.baseline;
+      d.regression = d.exact_change;
     }
     result.has_regression = result.has_regression || d.regression;
+    result.has_exact_change = result.has_exact_change || d.exact_change;
     result.deltas.push_back(std::move(d));
   }
   for (const auto& [key, value] : current.values) {
@@ -310,6 +314,11 @@ CompareResult compare(const Report& baseline, const Report& current,
     }
   }
   return result;
+}
+
+int exit_code(const CompareResult& result, bool warn_only) {
+  if (result.has_exact_change) return 1;
+  return result.has_regression && !warn_only ? 1 : 0;
 }
 
 }  // namespace sgnn::bench_compare

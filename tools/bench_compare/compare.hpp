@@ -5,11 +5,14 @@
 // flag metric regressions.
 //
 // Only the `values` section participates in the comparison: each entry
-// carries its own improvement direction ("lower" / "higher" / "none"),
-// so the tool needs no per-metric configuration. A key is a REGRESSION
-// when its relative change moves against the stored direction by more
-// than the threshold; keys present in only one report are listed but
-// never fail the comparison (benches gain and lose metrics over time).
+// carries its own improvement direction ("lower" / "higher" / "none" /
+// "exact"), so the tool needs no per-metric configuration. A key is a
+// REGRESSION when its relative change moves against the stored direction
+// by more than the threshold. An "exact" key is a deterministic count:
+// any change at all, in either direction, is an EXACT CHANGE, which fails
+// the compare even when timing regressions are only advisory. Keys present
+// in only one report are listed but never fail the comparison (benches
+// gain and lose metrics over time).
 //
 // Split into this core library (linked by tests/bench_compare_test) and
 // the CLI in main.cpp that the CI perf-smoke job runs.
@@ -45,7 +48,7 @@ Json parse_json(const std::string& text);
 /// One entry of a report's `values` section.
 struct Value {
   double value = 0;
-  std::string better;  ///< "lower", "higher" or "none"
+  std::string better;  ///< "lower", "higher", "none" or "exact"
 };
 
 /// The comparable slice of a BENCH_<name>.json report.
@@ -70,6 +73,7 @@ struct Delta {
   std::string better;
   bool regression = false;
   bool improvement = false;
+  bool exact_change = false;  ///< an "exact" metric moved (also a regression)
 };
 
 struct CompareResult {
@@ -77,6 +81,7 @@ struct CompareResult {
   std::vector<std::string> only_baseline;   ///< keys missing from current
   std::vector<std::string> only_current;    ///< keys missing from baseline
   bool has_regression = false;
+  bool has_exact_change = false;
 };
 
 /// Compares every key present in both reports. `threshold` is the
@@ -84,5 +89,9 @@ struct CompareResult {
 /// metric's `better` direction counts as a regression.
 CompareResult compare(const Report& baseline, const Report& current,
                       double threshold);
+
+/// The CLI's exit status for a comparison: 1 when an exact metric changed
+/// (always) or when a metric regressed and `warn_only` is off, else 0.
+int exit_code(const CompareResult& result, bool warn_only);
 
 }  // namespace sgnn::bench_compare

@@ -3,10 +3,11 @@
 //                      [--threshold <frac>] [--warn-only]
 //
 // Prints one line per metric present in both reports and a summary.
-// Exit codes: 0 = no regression (or --warn-only), 1 = at least one metric
-// moved against its `better` direction by more than the threshold,
-// 2 = usage / file / parse error. Run by the CI perf-smoke job against
-// the committed baselines in bench/baselines/.
+// Exit codes: 0 = no regression (or --warn-only), 1 = an exact metric
+// changed (even under --warn-only), or at least one metric moved against
+// its `better` direction by more than the threshold, 2 = usage / file /
+// parse error. Run by the CI perf-smoke job against the committed
+// baselines in bench/baselines/.
 
 #include <cstring>
 #include <fstream>
@@ -61,7 +62,8 @@ int main(int argc, char** argv) {
       std::cout << "usage: sgnn_bench_compare <baseline.json> <current.json>"
                    " [--threshold <frac>] [--warn-only]\n"
                    "Diffs the `values` sections of two BENCH_<name>.json "
-                   "reports (schema sgnn.bench_report.v1).\n";
+                   "reports (schema sgnn.bench_report.v1). A change in a "
+                   "better=exact metric fails even under --warn-only.\n";
       return 0;
     } else if (argv[i][0] == '-') {
       std::cerr << "sgnn_bench_compare: unknown argument '" << argv[i]
@@ -100,7 +102,11 @@ int main(int argc, char** argv) {
     std::cout << "  " << d.key << ": " << d.baseline << " -> " << d.current
               << " (" << percent(d.rel_change) << ", better=" << d.better
               << ")";
-    if (d.regression) std::cout << "  REGRESSION";
+    if (d.exact_change) {
+      std::cout << "  EXACT CHANGE";
+    } else if (d.regression) {
+      std::cout << "  REGRESSION";
+    }
     if (d.improvement) std::cout << "  improvement";
     std::cout << "\n";
   }
@@ -115,7 +121,16 @@ int main(int argc, char** argv) {
     std::cout << "sgnn_bench_compare: ok\n";
     return 0;
   }
-  std::cout << "sgnn_bench_compare: regression detected"
-            << (warn_only ? " (warn-only)" : "") << "\n";
-  return warn_only ? 0 : 1;
+  if (result.has_exact_change) {
+    std::cout << "sgnn_bench_compare: exact metric changed:";
+    for (const auto& d : result.deltas) {
+      if (d.exact_change) std::cout << " " << d.key;
+    }
+    std::cout << " (fails even under --warn-only; re-record the baseline "
+                 "if the change is intended)\n";
+  } else {
+    std::cout << "sgnn_bench_compare: regression detected"
+              << (warn_only ? " (warn-only)" : "") << "\n";
+  }
+  return exit_code(result, warn_only);
 }

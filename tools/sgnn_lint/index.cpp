@@ -178,8 +178,8 @@ void extract_definitions(const SourceFile& file, int file_id,
 /// Call sites inside [begin, end) of `code`: an identifier directly
 /// followed by `(`, excluding keywords and macros. Spelled `Qual::name`
 /// when the call carries an explicit qualifier, so resolution can bind
-/// `Shape::broadcast(...)` to Shape's member rather than every
-/// `broadcast` in the tree.
+/// `ThreadPool::instance()` to ThreadPool's member rather than every
+/// `instance` in the tree.
 std::vector<std::string> extract_callees(const std::string& code,
                                          std::size_t begin, std::size_t end) {
   std::vector<std::string> callees;
